@@ -13,6 +13,8 @@
 // a wrong result or a non-OK Status counts as failed, never aborts.
 // perfbench/run.py builds this program and passes the arguments on.
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -132,6 +134,22 @@ void ReportFailures(const PassResult& r) {
   }
 }
 
+/// Starts peak_rss_mb afresh after set-up, so that it measures the passes
+/// and not the set-up (the microfilm scans peak far above the restores).
+/// Heap the set-up freed is handed back first; writing 5 to clear_refs
+/// resets the high-water mark that getrusage reports.
+void ResetPeakRss() {
+  ::malloc_trim(0);
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5";
+  clear_refs.close();
+  if (!clear_refs) {
+    std::fprintf(stderr,
+                 "perfbench: cannot reset the peak RSS; peak_rss_mb "
+                 "includes set-up\n");
+  }
+}
+
 double PeakRssMb() { return static_cast<double>(bench::MaxRssBytes()) / 1e6; }
 
 /// Deletes the files a set-up wrote.
@@ -142,9 +160,12 @@ void RemoveSetup(const Workload& w) {
 }
 
 int RunUntraced(const Args& args, Kind kind, WorkFiles& files) {
-  // Set-up is timed several times and reported as a median; the
-  // microfilm set-up scans for ~9 s, the others take well under 1 s.
-  const int setup_runs = kind == Kind::kMicrofilmScan ? 3 : 5;
+  // Set-up is timed several times and reported as a median: the
+  // microfilm set-up scans for ~8 s, the archive session's takes ~0.2 s
+  // and the emulated workload's ~0.02 s.
+  const int setup_runs = kind == Kind::kMicrofilmScan      ? 3
+                         : kind == Kind::kEmulatedRestore ? 15
+                                                          : 5;
   std::vector<double> setup_s;
   std::optional<Workload> w;
   for (int i = 0; i < setup_runs; ++i) {
@@ -160,6 +181,7 @@ int RunUntraced(const Args& args, Kind kind, WorkFiles& files) {
     setup_s.push_back(Seconds(t0, Clock::now()));
   }
   files.Settle();
+  ResetPeakRss();
 
   std::vector<PassResult> passes;
   const Clock::time_point start = Clock::now();
@@ -273,7 +295,7 @@ int RunTraced(const Args& args, Kind kind, WorkFiles& files) {
   files.Settle();
   // One of each operation, so the traced pass and its untraced twin
   // compare op for op.
-  w.archive_reps = w.scrub_reps = w.native_reps = w.lookup_repeats = 1;
+  w.archive_reps = w.scrub_reps = w.native_reps = 1;
 
   const PassResult plain = RunPass(w, files, nullptr, nullptr);
   ReportFailures(plain);
@@ -482,6 +504,19 @@ int SelfTest(const Args& args, WorkFiles& files) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // glibc malloc runs with one arena and fixed thresholds, so that every
+  // run reuses memory the same way. With its defaults, whether a scrub's
+  // or an archive's per-frame buffers (~0.3 MB) faulted in fresh pages
+  // depended on the run's allocation history and halved scrub_mb_s in
+  // about one run in eight; mapping each 25 MB microfilm scan afresh made
+  // the microfilm figures move by 25% between hours, as the price of a
+  // first touch moved on a 4-vCPU VM; and with a heap per thread, which
+  // heap kept which scan moved the microfilm peak RSS between 296 and
+  // 387 MB. Blocks up to 32 MiB now come from the one heap, whose top is
+  // trimmed only past 64 MiB.
+  ::mallopt(M_ARENA_MAX, 1);
+  ::mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  ::mallopt(M_TRIM_THRESHOLD, 64 << 20);
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,

@@ -29,6 +29,16 @@ constexpr size_t kMicrofilmPayloadBytes = 102 * 1000;
 constexpr uint64_t kMaxPayloadDraws = 8;
 constexpr uint64_t kLookupRows = 100;
 constexpr uint64_t kLookupSeed = 19920101;
+constexpr size_t kLookupsPerPass = 160;  // 20 per table
+// A pass runs in this many rounds, each with its share of every operation
+// (the one emulated restore in the last), so each metric's samples spread
+// over the pass and a stall of the host a few seconds long cannot decide
+// a median.
+constexpr size_t kRounds = 8;
+// The probe reel is the same for every --seed: its ~27 KB dump is so small
+// that the seed's data alone moved its emulated KB/s by 7-9% over five
+// seeds (the frame count steps as the dump size moves).
+constexpr uint64_t kProbeSeed = 20000101;
 
 /// Frame sink of the microfilm set-up: prints each frame bitonally,
 /// scans it through the profile's distortion model and spools the scan.
@@ -264,8 +274,7 @@ Result<Workload> Setup(Kind kind, uint64_t seed, WorkFiles& files) {
                               .status());
       w.archive_reps = session ? 2 : 10;
       w.scrub_reps = session ? 4 : 50;
-      w.native_reps = session ? 2 : 4;
-      w.lookups_per_pass = session ? 40 : 32;  // 5 or 4 per table
+      w.native_reps = session ? 2 : 8;
       break;
     }
     case Kind::kMicrofilmScan: {
@@ -292,13 +301,12 @@ Result<Workload> Setup(Kind kind, uint64_t seed, WorkFiles& files) {
       w.archive_reps = 4;
       w.scrub_reps = 4;
       w.native_reps = 2;
-      w.lookups_per_pass = 96;  // 12 per table
       break;
     }
   }
   if (kind != Kind::kEmulatedRestore) {
     ULE_ASSIGN_OR_RETURN(
-        Reel probe, MakeTpchReel(kProbeSf, tpch_seed, files.Fresh("probe")));
+        Reel probe, MakeTpchReel(kProbeSf, kProbeSeed, files.Fresh("probe")));
     ULE_RETURN_IF_ERROR(ArchiveToContainer(probe.dump, DefaultArchiveOptions(),
                                            false, probe.path)
                             .status());
@@ -464,50 +472,51 @@ bool LookupOp(const Reel& reel, const core::RestorePredicate& pred,
   return true;
 }
 
+void ArchiveOp(const Workload& w, WorkFiles& files, Tracer* tracer,
+               PassResult* r) {
+  const std::string path = files.Fresh("archive");
+  r->attempted += 1;
+  Result<size_t> frames = Status::InvalidArgument("not run");
+  r->archive_s.push_back(TimeOp(tracer, "archive", [&](int op) {
+    frames = ArchiveToContainer(w.main.dump, w.archive_options,
+                                w.archive_bitonal, path, tracer, op);
+  }));
+  if (frames.ok()) {
+    r->frames = frames.value();
+  } else {
+    Fail(r, "archive: " + frames.status().ToString());
+  }
+  std::error_code ec;
+  r->container_bytes = std::filesystem::file_size(path, ec);
+  if (r->archive_s.size() == 1) r->archive_signature = Signature(path);
+  std::filesystem::remove(path, ec);
+}
+
 PassResult RunPass(const Workload& w, WorkFiles& files, Tracer* tracer,
                    LayerCounts* counts) {
   PassResult r;
-  for (int i = 0; i < w.archive_reps; ++i) {
-    const std::string path = files.Fresh("archive");
-    r.attempted += 1;
-    Result<size_t> frames = Status::InvalidArgument("not run");
-    r.archive_s.push_back(TimeOp(tracer, "archive", [&](int op) {
-      frames = ArchiveToContainer(w.main.dump, w.archive_options,
-                                  w.archive_bitonal, path, tracer, op);
-    }));
-    if (frames.ok()) {
-      r.frames = frames.value();
-    } else {
-      Fail(&r, "archive: " + frames.status().ToString());
-    }
-    std::error_code ec;
-    r.container_bytes = std::filesystem::file_size(path, ec);
-    if (i == 0) r.archive_signature = Signature(path);
-    std::filesystem::remove(path, ec);
-  }
-
-  for (int i = 0; i < w.scrub_reps; ++i) {
-    ScrubOp(w.main.path, tracer, counts, &r);
-  }
-  for (int i = 0; i < w.native_reps; ++i) {
-    RestoreNativeOp(w.main, tracer, counts, &r);
-  }
-  RestoreEmulatedOp(w.emulated_reel(), tracer, counts, &r);
   const Reel& lookups = w.lookup_reel();
-  for (const core::RestorePredicate& pred :
-       LookupSequence(lookups, w.lookups_per_pass)) {
-    const size_t first = r.lookup_s.size();
-    int ok = 0;
-    for (int i = 0; i < w.lookup_repeats; ++i) {
-      ok += LookupOp(lookups, pred, tracer, &r) ? 1 : 0;
+  const std::vector<core::RestorePredicate> preds =
+      LookupSequence(lookups, kLookupsPerPass);
+  // [first, last) of n operations that fall to round `round`.
+  const auto share = [](size_t n, size_t round) {
+    return std::make_pair(n * round / kRounds, n * (round + 1) / kRounds);
+  };
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (auto [i, end] = share(w.archive_reps, round); i < end; ++i) {
+      ArchiveOp(w, files, tracer, &r);
     }
-    if (ok == w.lookup_repeats && ok > 1) {
-      std::vector<double> repeats(r.lookup_s.begin() + first,
-                                  r.lookup_s.end());
-      std::nth_element(repeats.begin(), repeats.begin() + ok / 2,
-                       repeats.end());
-      r.lookup_s.resize(first);
-      r.lookup_s.push_back(repeats[ok / 2]);
+    for (auto [i, end] = share(w.scrub_reps, round); i < end; ++i) {
+      ScrubOp(w.main.path, tracer, counts, &r);
+    }
+    for (auto [i, end] = share(w.native_reps, round); i < end; ++i) {
+      RestoreNativeOp(w.main, tracer, counts, &r);
+    }
+    for (auto [i, end] = share(1, round); i < end; ++i) {
+      RestoreEmulatedOp(w.emulated_reel(), tracer, counts, &r);
+    }
+    for (auto [i, end] = share(preds.size(), round); i < end; ++i) {
+      LookupOp(lookups, preds[i], tracer, &r);
     }
   }
   return r;

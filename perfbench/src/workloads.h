@@ -46,20 +46,16 @@ struct Workload {
   bool archive_bitonal = false;  ///< PBM frames instead of PGM
   /// The reel scrub and the native restore read, archived in set-up.
   Reel main;
-  /// A small TPC-H reel (SF 0.00002) that carries the emulated restore
-  /// and/or the lookups on workloads whose own reel cannot: SF 0.002 is
-  /// ~85 s to restore emulated, and the microfilm payload is not SQL.
+  /// A small TPC-H reel (SF 0.00002, the same for every seed) that
+  /// carries the emulated restore and/or the lookups on workloads whose
+  /// own reel cannot: SF 0.002 is ~85 s to restore emulated, and the
+  /// microfilm payload is not SQL.
   std::optional<Reel> probe;
   /// Operations per pass. The cheap ones repeat so that each pass gives
   /// them enough samples for a steady median.
-  int archive_reps = 1;
-  int scrub_reps = 1;
-  int native_reps = 1;
-  size_t lookups_per_pass = 0;
-  /// Each lookup runs this many times back to back; its latency sample is
-  /// the median. A few slow thread wake-ups otherwise decide the 90th
-  /// percentile (29-38% spread over ten seeds).
-  int lookup_repeats = 3;
+  size_t archive_reps = 1;
+  size_t scrub_reps = 1;
+  size_t native_reps = 1;
 
   const Reel& emulated_reel() const;
   const Reel& lookup_reel() const;
@@ -113,7 +109,7 @@ struct PassResult {
   std::vector<double> scrub_s;
   std::vector<double> restore_native_s;
   std::vector<double> restore_emulated_s;
-  std::vector<double> lookup_s;  ///< per lookup, median of its repeats
+  std::vector<double> lookup_s;  ///< one per lookup
 
   /// (type, length, CRC, seq) of every record of the first container
   /// the archive ops wrote: equal signatures and sizes mean equal bytes.

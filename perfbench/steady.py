@@ -80,7 +80,7 @@ def summarize(record, metrics):
         q1, q2, q3, s = spread(values)
         bound = metrics.get(name, {}).get("bound")
         flag = ""
-        if bound is not None and name != "setup_s":
+        if bound is not None:
             flag = "  OVER" if s > bound else ("  >1/3" if s > bound / 3
                                                else "")
         print(f"  {name:32} {q2:12.6g} {q1:12.6g} {q3:12.6g} {s:7.2%} "
