@@ -66,11 +66,12 @@ RunResult RunOn(const media::MediaProfile& profile, const std::string& payload,
                                                           dots_per_cell);
   RunResult out;
   out.emblem_capacity = mocoder::EmblemCapacity(options.emblem.data_side);
+  filmstore::MemoryStore store;
   const auto t0 = Clock::now();
-  auto archive = core::ArchiveDump(payload, options);
+  auto archive = core::ArchiveDumpStreaming(payload, options, store);
   out.archive_s = std::chrono::duration<double>(Clock::now() - t0).count();
   if (!archive.ok()) return out;
-  for (const auto& e : archive.value().data_emblems) {
+  for (const auto& e : store.emblems(mocoder::StreamId::kData)) {
     if (mocoder::IsParitySlot(e.header.seq)) {
       ++out.parity_emblems;
     } else {
@@ -79,14 +80,14 @@ RunResult RunOn(const media::MediaProfile& profile, const std::string& payload,
   }
 
   std::vector<media::Image> data_scans, system_scans;
-  for (const auto& img : archive.value().data_images) {
+  for (const auto& img : store.frames(mocoder::StreamId::kData)) {
     media::Image printed = img;
     if (profile.bitonal_write) {
       for (auto& px : printed.mutable_pixels()) px = px < 128 ? 0 : 255;
     }
     data_scans.push_back(media::Scan(printed, profile.scan));
   }
-  for (const auto& img : archive.value().system_images) {
+  for (const auto& img : store.frames(mocoder::StreamId::kSystem)) {
     media::Image printed = img;
     if (profile.bitonal_write) {
       for (auto& px : printed.mutable_pixels()) px = px < 128 ? 0 : 255;
@@ -95,8 +96,10 @@ RunResult RunOn(const media::MediaProfile& profile, const std::string& payload,
   }
   core::RestoreStats stats;
   const auto t1 = Clock::now();
-  auto restored = core::RestoreNative(data_scans, system_scans,
-                                      archive.value().emblem_options, &stats);
+  filmstore::VectorSource data_source(data_scans);
+  filmstore::VectorSource system_source(system_scans);
+  auto restored = core::RestoreNativeStreaming(
+      data_source, &system_source, archive.value().emblem_options, &stats);
   out.restore_s = std::chrono::duration<double>(Clock::now() - t1).count();
   out.exact = restored.ok() && restored.value() == payload;
   out.rs_errors = stats.data_stream.rs_errors_corrected;
@@ -552,65 +555,6 @@ int main() {
   report.AddGauge("scrub_repaired_bytes",
                   static_cast<double>(ps.repaired_bytes), "bytes");
 
-  // ---- Restore from memory: OpenFrames yields per-frame copies,
-  // ConsumeFrames moves frames out of the store. The RSS delta between
-  // the two restores is the price of copying (before VectorSource kept
-  // a reference it was O(archive): the whole frame vector was cloned at
-  // open). Consuming runs first — max RSS is monotone. ----
-  std::printf("\n=== memory store: restore via moves vs copies ===\n");
-  const core::ArchiveOptions mem_options =
-      MakeArchiveOptions(film_profile, film_profile.dots_per_cell);
-  bool memstore_exact = true;
-  const uint64_t rss_before_memstore = bench::MaxRssBytes();
-  uint64_t store_bytes = 0;
-  uint64_t rss_after_consume = 0;
-  uint64_t rss_after_copy = 0;
-  for (const bool consume : {true, false}) {
-    filmstore::MemoryStore store;
-    auto summary = core::ArchiveDumpStreaming(payload, mem_options, store);
-    if (!summary.ok()) {
-      memstore_exact = false;
-      break;
-    }
-    store_bytes = 0;
-    for (const auto& f : store.frames(mocoder::StreamId::kData)) {
-      store_bytes += f.pixels().size();
-    }
-    for (const auto& f : store.frames(mocoder::StreamId::kSystem)) {
-      store_bytes += f.pixels().size();
-    }
-    const auto t0 = Clock::now();
-    auto data = consume ? store.ConsumeFrames(mocoder::StreamId::kData)
-                        : store.OpenFrames(mocoder::StreamId::kData);
-    auto system = consume ? store.ConsumeFrames(mocoder::StreamId::kSystem)
-                          : store.OpenFrames(mocoder::StreamId::kSystem);
-    auto restored = core::RestoreNativeStreaming(*data, system.get(),
-                                                 mem_options.emblem);
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    memstore_exact =
-        memstore_exact && restored.ok() && restored.value() == payload;
-    (consume ? rss_after_consume : rss_after_copy) = bench::MaxRssBytes();
-    report.Add(consume ? "memstore_restore_consume" : "memstore_restore_copy",
-               1, seconds, static_cast<double>(payload.size()));
-  }
-  std::printf("%-42s %10s\n", "memory restore byte-exact (both modes)",
-              memstore_exact ? "yes" : "NO");
-  std::printf("%-42s %9.1fM\n", "frames held by the store",
-              store_bytes / 1e6);
-  std::printf("%-42s %9.1fM\n", "RSS delta, consuming restore (moves)",
-              (rss_after_consume - rss_before_memstore) / 1e6);
-  std::printf("%-42s %9.1fM\n", "RSS delta, copying restore (on top)",
-              (rss_after_copy - rss_after_consume) / 1e6);
-  report.AddGauge("memstore_frame_bytes", static_cast<double>(store_bytes),
-                  "bytes");
-  report.AddGauge("memstore_consume_rss_delta",
-                  static_cast<double>(rss_after_consume - rss_before_memstore),
-                  "bytes");
-  report.AddGauge("memstore_copy_rss_delta",
-                  static_cast<double>(rss_after_copy - rss_after_consume),
-                  "bytes");
-
   // The same payload materialized (every frame and scan in vectors): the
   // RSS delta against the gauge above is the bounded-memory win.
   const RunResult big_mat =
@@ -777,7 +721,7 @@ int main() {
 
   report.Write("microfilm");
   return (mf.exact && cf.exact && st.exact && sp.exact && sharded_exact &&
-          ps.ok && big_mat.exact && memstore_exact && sel.ok && kernels_ok)
+          ps.ok && big_mat.exact && sel.ok && kernels_ok)
              ? 0
              : 1;
 }

@@ -10,11 +10,12 @@
 #include <cstdio>
 
 #include "core/micr_olonys.h"
-#include "mocoder/outer.h"
 #include "decoders/dbdecode.h"
 #include "dynarisc/machine.h"
+#include "filmstore/frame_store.h"
 #include "media/profiles.h"
 #include "minidb/sqldump.h"
+#include "mocoder/outer.h"
 #include "olonys/dynarisc_in_verisc.h"
 #include "tpch/tpch.h"
 
@@ -42,32 +43,39 @@ int main() {
   {
     core::ArchiveOptions store = options;
     store.scheme = dbcoder::Scheme::kStore;
-    store.render_images = false;
-    auto uncompressed = core::ArchiveDump(dump, store);
+    size_t data_pages = 0;
+    filmstore::FunctionSink count_pages(
+        [&](mocoder::StreamId id, const mocoder::EncodedEmblem& emblem,
+            media::Image&&) -> Status {
+          if (id == mocoder::StreamId::kData &&
+              !mocoder::IsParitySlot(emblem.header.seq)) {
+            ++data_pages;
+          }
+          return Status::OK();
+        });
+    auto uncompressed = core::ArchiveDumpStreaming(dump, store, count_pages);
     if (uncompressed.ok()) {
-      size_t data_pages = 0;
-      for (const auto& e : uncompressed.value().data_emblems) {
-        if (!mocoder::IsParitySlot(e.header.seq)) ++data_pages;
-      }
       std::printf("uncompressed configuration (the paper's): %zu data "
                   "emblems, %.1f KB/page\n\n",
                   data_pages, dump.size() / 1000.0 / data_pages);
     }
   }
 
+  filmstore::MemoryStore paper;
   const auto t0 = Clock::now();
-  auto archive = core::ArchiveDump(dump, options);
+  auto archive = core::ArchiveDumpStreaming(dump, options, paper);
   const auto t1 = Clock::now();
   if (!archive.ok()) {
     std::printf("archive failed: %s\n", archive.status().ToString().c_str());
     return 1;
   }
-  const size_t pages = archive.value().data_images.size();
+  const size_t pages = archive.value().data_frames;
 
   const auto t2 = Clock::now();
-  auto restored = core::RestoreNative(archive.value().data_images,
-                                      archive.value().system_images,
-                                      archive.value().emblem_options);
+  auto data_frames = paper.OpenFrames(mocoder::StreamId::kData);
+  auto system_frames = paper.OpenFrames(mocoder::StreamId::kSystem);
+  auto restored = core::RestoreNativeStreaming(
+      *data_frames, system_frames.get(), archive.value().emblem_options);
   const auto t3 = Clock::now();
   if (!restored.ok() || restored.value() != dump) {
     std::printf("restore failed\n");

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "core/micr_olonys.h"
+#include "filmstore/frame_store.h"
 #include "media/profiles.h"
 #include "media/scanner.h"
 #include "support/random.h"
@@ -29,19 +30,21 @@ int main() {
   options.emblem.dots_per_cell = 2;  // 2K frames scanned at 4K
   options.emblem.data_side = film.frame_height / 2 - 2 * 5 - 2 * 2;
 
-  auto archive = core::ArchiveDump(payload, options);
+  filmstore::MemoryStore reel;
+  auto archive = core::ArchiveDumpStreaming(payload, options, reel);
   if (!archive.ok()) {
     std::printf("archive failed: %s\n", archive.status().ToString().c_str());
     return 1;
   }
   std::printf("payload: %zu bytes -> %zu data emblems in %dx%d frames "
               "(paper: 102 KB -> 3 emblems)\n",
-              payload.size(), archive.value().data_emblems.size(),
-              film.frame_width, film.frame_height);
+              payload.size(), archive.value().data_frames, film.frame_width,
+              film.frame_height);
 
   // The film ages in the vault, then is scanned; frame 1 is lost outright.
+  const auto& data_frames = reel.frames(mocoder::StreamId::kData);
   std::vector<media::Image> data_scans;
-  for (size_t i = 0; i < archive.value().data_images.size(); ++i) {
+  for (size_t i = 0; i < data_frames.size(); ++i) {
     if (i == 1) {
       std::printf("frame %zu: destroyed (splice damage)\n", i);
       continue;
@@ -51,17 +54,19 @@ int main() {
     aging.dust_per_megapixel = 4;
     aging.scratch_count = 1;
     aging.seed = 100 + i;
-    const media::Image aged = media::Age(archive.value().data_images[i], aging);
+    const media::Image aged = media::Age(data_frames[i], aging);
     data_scans.push_back(media::Scan(aged, film.scan));
   }
   std::vector<media::Image> system_scans;
-  for (const auto& img : archive.value().system_images) {
+  for (const auto& img : reel.frames(mocoder::StreamId::kSystem)) {
     system_scans.push_back(media::Scan(img, film.scan));
   }
 
   core::RestoreStats stats;
-  auto restored = core::RestoreNative(data_scans, system_scans,
-                                      archive.value().emblem_options, &stats);
+  filmstore::VectorSource data_source(data_scans);
+  filmstore::VectorSource system_source(system_scans);
+  auto restored = core::RestoreNativeStreaming(
+      data_source, &system_source, archive.value().emblem_options, &stats);
   if (!restored.ok()) {
     std::printf("restore failed: %s\n", restored.status().ToString().c_str());
     return 1;

@@ -7,7 +7,8 @@
 // This example plays that scenario end to end: the "historian's emulator"
 // is one of the independently written implementations in
 // src/verisc/implementations.cc, and restoration goes exclusively through
-// core::RestoreEmulated (nested emulation of the archived decoders).
+// core::RestoreEmulatedStreaming (nested emulation of the archived
+// decoders).
 //
 // Everything the historian must know about what is on the film — emblem
 // geometry, the two RS layers, the container formats, the Bootstrap
@@ -17,6 +18,7 @@
 #include <cstdio>
 
 #include "core/micr_olonys.h"
+#include "filmstore/frame_store.h"
 #include "olonys/bootstrap.h"
 #include "verisc/implementations.h"
 
@@ -37,28 +39,33 @@ int main() {
       "\\.\n";
   core::ArchiveOptions options;
   options.emblem.data_side = 65;
-  auto archive = core::ArchiveDump(dump, options);
+  filmstore::MemoryStore reel;
+  auto archive = core::ArchiveDumpStreaming(dump, options, reel);
   if (!archive.ok()) return 1;
 
   std::printf("2026: archived %zu bytes as %zu data + %zu system emblems\n",
-              dump.size(), archive.value().data_images.size(),
-              archive.value().system_images.size());
+              dump.size(), archive.value().data_frames,
+              archive.value().system_frames);
   std::printf("      Bootstrap: %d pages (%d lines of pseudocode)\n",
               olonys::PageCount(archive.value().bootstrap_text),
               olonys::PseudocodeLineCount());
 
   // ---- 2086: only these three artefacts survive ----
   const std::string bootstrap = archive.value().bootstrap_text;
-  const std::vector<media::Image> data_scans = archive.value().data_images;
-  const std::vector<media::Image> system_scans = archive.value().system_images;
+  const std::vector<media::Image>& data_scans =
+      reel.frames(mocoder::StreamId::kData);
+  const std::vector<media::Image>& system_scans =
+      reel.frames(mocoder::StreamId::kSystem);
 
   // The historian implements VeRisc from Part I. We stand in three
   // different people, each with their own implementation.
   for (const auto& impl : verisc::AllImplementations()) {
     core::RestoreStats stats;
+    filmstore::VectorSource data_source(data_scans);
+    filmstore::VectorSource system_source(system_scans);
     auto restored =
-        core::RestoreEmulated(data_scans, system_scans, bootstrap,
-                              options.emblem, &stats, impl.run);
+        core::RestoreEmulatedStreaming(data_source, system_source, bootstrap,
+                                       options.emblem, &stats, impl.run);
     if (!restored.ok()) {
       std::printf("2086 [%s]: FAILED: %s\n", impl.name.c_str(),
                   restored.status().ToString().c_str());

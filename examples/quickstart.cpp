@@ -12,6 +12,7 @@
 #include "core/micr_olonys.h"
 #include "dbcoder/dbcoder.h"
 #include "decoders/dbdecode.h"
+#include "filmstore/frame_store.h"
 #include "minidb/database.h"
 #include "minidb/sqldump.h"
 #include "olonys/dynarisc_in_verisc.h"
@@ -47,15 +48,17 @@ int main(int argc, char** argv) {
   options.emblem.data_side = 65;  // small emblems for a small database
   options.emblem.threads = threads;
   std::printf("pipeline threads: %d\n", ResolveThreadCount(threads));
-  auto archive = core::ArchiveDump(dump, options);
+  // The frames land in an in-memory film store; a real archive would
+  // stream them to a ULE-C1 container or a film recorder instead.
+  filmstore::MemoryStore film;
+  auto archive = core::ArchiveDumpStreaming(dump, options, film);
   if (!archive.ok()) {
     std::printf("archive failed: %s\n", archive.status().ToString().c_str());
     return 1;
   }
   std::printf("archived: %zu data emblem(s), %zu system emblem(s), "
               "Bootstrap of %zu characters\n",
-              archive.value().data_emblems.size(),
-              archive.value().system_emblems.size(),
+              archive.value().data_frames, archive.value().system_frames,
               archive.value().bootstrap_text.size());
 
   // 4. Decades later: restore from the rendered frames. The recorded
@@ -63,9 +66,10 @@ int main(int argc, char** argv) {
   // parallelism); re-apply this machine's knob for the restore side.
   mocoder::Options restore_options = archive.value().emblem_options;
   restore_options.threads = threads;
-  auto restored = core::RestoreNative(archive.value().data_images,
-                                      archive.value().system_images,
-                                      restore_options);
+  auto data_frames = film.OpenFrames(mocoder::StreamId::kData);
+  auto system_frames = film.OpenFrames(mocoder::StreamId::kSystem);
+  auto restored = core::RestoreNativeStreaming(
+      *data_frames, system_frames.get(), restore_options);
   if (!restored.ok()) {
     std::printf("restore failed: %s\n", restored.status().ToString().c_str());
     return 1;

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "core/micr_olonys.h"
+#include "filmstore/frame_store.h"
 #include "media/profiles.h"
 #include "minidb/sqldump.h"
 #include "support/parallel.h"
@@ -43,7 +44,8 @@ int main(int argc, char** argv) {
   std::printf("pipeline threads: %d\n", ResolveThreadCount(threads));
 
   const auto t0 = Clock::now();
-  auto archive = core::ArchiveDump(dump, options);
+  filmstore::MemoryStore paper;
+  auto archive = core::ArchiveDumpStreaming(dump, options, paper);
   const auto t1 = Clock::now();
   if (!archive.ok()) {
     std::printf("archive failed: %s\n", archive.status().ToString().c_str());
@@ -51,11 +53,10 @@ int main(int argc, char** argv) {
   }
   const double encode_s =
       std::chrono::duration<double>(t1 - t0).count();
-  const size_t pages = archive.value().data_images.size();
+  const size_t pages = archive.value().data_frames;
   std::printf("emblems: %zu data + %zu system (paper reports 26 data for "
               "1.2 MB)\n",
-              archive.value().data_emblems.size(),
-              archive.value().system_emblems.size());
+              archive.value().data_frames, archive.value().system_frames);
   std::printf("density: %.1f KB/page (paper: 50 KB/page)\n",
               pages ? static_cast<double>(dump.size()) / 1000.0 / pages : 0);
   std::printf("encode time: %.2f s\n", encode_s);
@@ -63,9 +64,10 @@ int main(int argc, char** argv) {
   const auto t2 = Clock::now();
   mocoder::Options restore_options = archive.value().emblem_options;
   restore_options.threads = threads;  // recorded options are always auto
-  auto restored = core::RestoreNative(archive.value().data_images,
-                                      archive.value().system_images,
-                                      restore_options);
+  auto data_frames = paper.OpenFrames(mocoder::StreamId::kData);
+  auto system_frames = paper.OpenFrames(mocoder::StreamId::kSystem);
+  auto restored = core::RestoreNativeStreaming(
+      *data_frames, system_frames.get(), restore_options);
   const auto t3 = Clock::now();
   if (!restored.ok()) {
     std::printf("restore failed: %s\n", restored.status().ToString().c_str());

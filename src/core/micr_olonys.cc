@@ -1,12 +1,9 @@
 #include "core/micr_olonys.h"
 
 #include <algorithm>
-#include <map>
 
 #include "decoders/dbdecode.h"
 #include "decoders/modecode.h"
-#include "mocoder/detect.h"
-#include "mocoder/outer.h"
 #include "olonys/bootstrap.h"
 #include "olonys/dynarisc_in_verisc.h"
 #include "support/crc32.h"
@@ -15,77 +12,19 @@
 namespace ule {
 namespace core {
 
-Result<Archive> ArchiveDump(const std::string& sql_dump,
-                            const ArchiveOptions& options) {
-  ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(options.emblem));
-  Archive archive;
-  archive.emblem_options = options.emblem;
-  // The recorded options describe the archived *geometry*; the archiving
-  // machine's thread count is not an archival parameter and must not leak
-  // into (and silently serialize) a future restorer's environment.
-  archive.emblem_options.threads = 0;
-  archive.dump_bytes = sql_dump.size();
-
-  // Step 2: DBCoder (sequential: everything downstream needs it).
-  ULE_ASSIGN_OR_RETURN(Bytes container,
-                       dbcoder::Encode(ToBytes(sql_dump), options.scheme));
-  archive.compressed_bytes = container.size();
-
-  // Steps 3-7 fan out across the two emblem streams and the Bootstrap
-  // document; each task writes its own archive field. Within each stream,
-  // emblem construction and frame rendering run fused per emblem through
-  // the streaming encoder (on a split thread budget, so the nesting does
-  // not oversubscribe the CPUs) — the materialized Archive is just the
-  // streaming pipeline with vector sinks.
-  const Bytes dbdecode_stream = decoders::DbDecodeProgram().Serialize();
-  mocoder::Options inner_emblem = options.emblem;
-  inner_emblem.threads = SplitThreads(options.emblem.threads, 2);
-  auto encode_into = [&](BytesView stream, mocoder::StreamId id,
-                         std::vector<mocoder::EncodedEmblem>* emblems,
-                         std::vector<media::Image>* images) -> Status {
-    return mocoder::EncodeToSink(
-        stream, id, inner_emblem, options.render_images,
-        [&](mocoder::EncodedEmblem&& emblem, media::Image&& frame) -> Status {
-          emblems->push_back(std::move(emblem));
-          if (options.render_images) images->push_back(std::move(frame));
-          return Status::OK();
-        });
-  };
-  ULE_RETURN_IF_ERROR(ParallelTasks(
-      {
-          // Steps 3 + 7: data emblems and their frames.
-          [&]() -> Status {
-            return encode_into(container, mocoder::StreamId::kData,
-                               &archive.data_emblems, &archive.data_images);
-          },
-          // Steps 4-5 + 7: DBDecode instruction stream -> system emblems.
-          [&]() -> Status {
-            return encode_into(dbdecode_stream, mocoder::StreamId::kSystem,
-                               &archive.system_emblems,
-                               &archive.system_images);
-          },
-          // Step 6: Bootstrap document (MODecode + DynaRisc emulator).
-          [&]() -> Status {
-            archive.bootstrap_text = olonys::GenerateBootstrapText(
-                olonys::DynaRiscInterpreter(), decoders::ModecodeProgram());
-            return Status::OK();
-          },
-      },
-      options.emblem.threads));
-  return archive;
-}
-
 Result<ArchiveSummary> ArchiveDumpStreaming(const std::string& sql_dump,
                                             const ArchiveOptions& options,
                                             filmstore::FrameSink& sink) {
   ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(options.emblem));
   ArchiveSummary summary;
   summary.emblem_options = options.emblem;
-  summary.emblem_options.threads = 0;  // geometry only; see ArchiveDump
-  // The machine's actual parallelism is still worth reporting (benches,
-  // ulectl) — it just lives outside the recorded archival options. The
-  // pipeline clamps worker counts at the pool's hard cap, so the report
-  // must too.
+  // The recorded options describe the archived *geometry*; the archiving
+  // machine's thread count is not an archival parameter and must not leak
+  // into (and silently serialize) a future restorer's environment. It is
+  // still worth reporting (benches, ulectl), outside the recorded options;
+  // the pipeline clamps worker counts at the pool's hard cap, so the
+  // report must too.
+  summary.emblem_options.threads = 0;
   summary.threads_used = std::min(ResolveThreadCount(options.emblem.threads),
                                   ThreadPool::kMaxThreads);
   summary.dump_bytes = sql_dump.size();
@@ -159,43 +98,6 @@ Result<ArchiveSummary> ArchiveDumpStreaming(const std::string& sql_dump,
   return summary;
 }
 
-Result<std::string> RestoreNative(const std::vector<media::Image>& data_scans,
-                                  const std::vector<media::Image>& system_scans,
-                                  const mocoder::Options& emblem_options,
-                                  RestoreStats* stats) {
-  ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(emblem_options));
-  RestoreStats local;
-  Bytes container;
-  // The two streams decode concurrently; each decode parallelizes further
-  // across its scans on a split thread budget. Stats land in per-stream
-  // slots (no shared counters).
-  mocoder::Options inner_options = emblem_options;
-  inner_options.threads = SplitThreads(emblem_options.threads, 2);
-  ULE_RETURN_IF_ERROR(ParallelTasks(
-      {
-          // The system stream is decoded too (it must match the in-tree
-          // decoder, which the emulated path actually runs).
-          [&]() -> Status {
-            if (system_scans.empty()) return Status::OK();
-            auto system = mocoder::DecodeImages(
-                system_scans, mocoder::StreamId::kSystem, inner_options,
-                &local.system_stream);
-            return system.status();
-          },
-          [&]() -> Status {
-            ULE_ASSIGN_OR_RETURN(
-                container,
-                mocoder::DecodeImages(data_scans, mocoder::StreamId::kData,
-                                      inner_options, &local.data_stream));
-            return Status::OK();
-          },
-      },
-      emblem_options.threads));
-  ULE_ASSIGN_OR_RETURN(Bytes dump, dbcoder::Decode(container));
-  if (stats) *stats = local;
-  return ToString(dump);
-}
-
 namespace {
 
 /// Pull-decodes one stream: frames go straight from `source` into the
@@ -224,39 +126,6 @@ Result<Bytes> DecodeSourceStream(filmstore::FrameSource& source,
   if (skip_if_empty && pushed == 0) return Bytes();
   return decoder.Finish(stats, steps);
 }
-
-}  // namespace
-
-Result<std::string> RestoreNativeStreaming(
-    filmstore::FrameSource& data_frames,
-    filmstore::FrameSource* system_frames,
-    const mocoder::Options& emblem_options, RestoreStats* stats) {
-  ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(emblem_options));
-  RestoreStats local;
-
-  // The streams are decoded back to back (reel order), each with the full
-  // thread budget.
-  if (system_frames != nullptr) {
-    // Decoded for the same reason RestoreNative decodes it: the system
-    // stream must match the in-tree decoder the emulated path runs. An
-    // empty source is skipped, like an empty system_scans vector.
-    ULE_RETURN_IF_ERROR(
-        DecodeSourceStream(*system_frames, mocoder::StreamId::kSystem,
-                           emblem_options, nullptr, /*count_unsampled=*/false,
-                           /*skip_if_empty=*/true, &local.system_stream)
-            .status());
-  }
-  ULE_ASSIGN_OR_RETURN(
-      Bytes container,
-      DecodeSourceStream(data_frames, mocoder::StreamId::kData,
-                         emblem_options, nullptr, /*count_unsampled=*/false,
-                         /*skip_if_empty=*/false, &local.data_stream));
-  ULE_ASSIGN_OR_RETURN(Bytes dump, dbcoder::Decode(container));
-  if (stats) *stats = local;
-  return ToString(dump);
-}
-
-namespace {
 
 /// Runs a DynaRisc program under nested emulation via the *parsed
 /// Bootstrap* interpreter (not the in-tree one), accumulating step counts.
@@ -348,89 +217,32 @@ Result<Bytes> RunDbDecode(const verisc::Program& interpreter,
   return out;
 }
 
-/// Decodes one stream of emblem scans with the archived MODecode program
-/// (under nested emulation), then reassembles it with the outer code.
-/// The scans flow through the streaming decoder: per-scan nested decodes
-/// fan out across pool workers (each reusing its thread-local VeRisc
-/// machine across emblems and stages); the merge is serial in scan order.
-Result<Bytes> DecodeStreamEmulated(const std::vector<media::Image>& scans,
-                                   mocoder::StreamId id,
-                                   const mocoder::Options& emblem_options,
-                                   const verisc::Program& interpreter,
-                                   const dynarisc::Program& modecode,
-                                   verisc::VmFunction vm,
-                                   mocoder::DecodeStats* stats,
-                                   uint64_t* steps) {
-  // Every scan counts into emblems_total here (unlike DecodeImages): the
-  // historian's stats are about the reel, not about what sampled cleanly.
-  mocoder::StreamDecoder decoder(
-      id, emblem_options,
-      MakeNestedGridDecode(interpreter, modecode, emblem_options.data_side,
-                           vm),
-      /*count_unsampled=*/true);
-  for (const media::Image& scan : scans) {
-    ULE_RETURN_IF_ERROR(decoder.PushShared(scan));
-  }
-  return decoder.Finish(stats, steps);
-}
-
 }  // namespace
 
-Result<std::string> RestoreEmulated(
-    const std::vector<media::Image>& data_scans,
-    const std::vector<media::Image>& system_scans,
-    const std::string& bootstrap_text, const mocoder::Options& emblem_options,
-    RestoreStats* stats, verisc::VmFunction vm) {
+Result<std::string> RestoreNativeStreaming(
+    filmstore::FrameSource& data_frames,
+    filmstore::FrameSource* system_frames,
+    const mocoder::Options& emblem_options, RestoreStats* stats) {
   ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(emblem_options));
   RestoreStats local;
 
-  // Step 1-2 (Fig. 2b): parse the Bootstrap; it yields the DynaRisc
-  // emulator (a VeRisc program) and the MODecode program.
-  ULE_ASSIGN_OR_RETURN(olonys::ParsedBootstrap bootstrap,
-                       olonys::ParseBootstrapText(bootstrap_text));
-
-  // Steps 4-5 fan out: the system and data streams decode concurrently,
-  // each further parallelized per scan on a split thread budget. Step
-  // counters are per-task and summed afterwards, so the aggregate is
-  // race-free and deterministic.
-  Bytes dbdecode_stream;
-  Bytes container;
-  uint64_t system_steps = 0;
-  uint64_t data_steps = 0;
-  mocoder::Options inner_options = emblem_options;
-  inner_options.threads = SplitThreads(emblem_options.threads, 2);
-  ULE_RETURN_IF_ERROR(ParallelTasks(
-      {
-          [&]() -> Status {
-            ULE_ASSIGN_OR_RETURN(
-                dbdecode_stream,
-                DecodeStreamEmulated(system_scans, mocoder::StreamId::kSystem,
-                                     inner_options,
-                                     bootstrap.dynarisc_emulator,
-                                     bootstrap.mocoder, vm,
-                                     &local.system_stream, &system_steps));
-            return Status::OK();
-          },
-          [&]() -> Status {
-            ULE_ASSIGN_OR_RETURN(
-                container,
-                DecodeStreamEmulated(data_scans, mocoder::StreamId::kData,
-                                     inner_options,
-                                     bootstrap.dynarisc_emulator,
-                                     bootstrap.mocoder, vm,
-                                     &local.data_stream, &data_steps));
-            return Status::OK();
-          },
-      },
-      emblem_options.threads));
-  local.emulated_steps += system_steps + data_steps;
-
-  // Step 5 (tail): the recovered DBDecode decompresses the data stream.
-  ULE_ASSIGN_OR_RETURN(dynarisc::Program dbdecode,
-                       dynarisc::Program::Deserialize(dbdecode_stream));
-  ULE_ASSIGN_OR_RETURN(Bytes dump,
-                       RunDbDecode(bootstrap.dynarisc_emulator, dbdecode,
-                                   container, vm, &local.emulated_steps));
+  // The streams are decoded back to back (reel order), each with the full
+  // thread budget.
+  if (system_frames != nullptr) {
+    // The system stream must match the in-tree decoder the emulated path
+    // runs. An empty source is skipped (no system reel to verify).
+    ULE_RETURN_IF_ERROR(
+        DecodeSourceStream(*system_frames, mocoder::StreamId::kSystem,
+                           emblem_options, nullptr, /*count_unsampled=*/false,
+                           /*skip_if_empty=*/true, &local.system_stream)
+            .status());
+  }
+  ULE_ASSIGN_OR_RETURN(
+      Bytes container,
+      DecodeSourceStream(data_frames, mocoder::StreamId::kData,
+                         emblem_options, nullptr, /*count_unsampled=*/false,
+                         /*skip_if_empty=*/false, &local.data_stream));
+  ULE_ASSIGN_OR_RETURN(Bytes dump, dbcoder::Decode(container));
   if (stats) *stats = local;
   return ToString(dump);
 }
@@ -449,30 +261,29 @@ Result<std::string> RestoreEmulatedStreaming(
                        olonys::ParseBootstrapText(bootstrap_text));
 
   // Steps 4-5, reel order: the system stream first (it yields the
-  // archived DBDecode program), then the data stream. Unlike the
-  // materialized RestoreEmulated the two reels are pulled back to back —
-  // a spool reader hands us one frame at a time — so each decode gets the
-  // full thread budget; per-scan nested decodes still fan out across pool
-  // workers. Step counters are summed in the same order as the
-  // materialized path, keeping the aggregate deterministic and identical.
+  // archived DBDecode program), then the data stream. The two reels are
+  // pulled back to back — a spool reader hands us one frame at a time —
+  // so each decode gets the full thread budget; per-scan nested decodes
+  // fan out across pool workers, each reusing its thread-local VeRisc
+  // machine. Every scan counts into emblems_total (unlike the native
+  // path): the historian's stats are about the reel, not about what
+  // sampled cleanly. Step counters are per stream and summed afterwards,
+  // keeping the aggregate deterministic.
+  const mocoder::GridDecodeFn nested_decode = MakeNestedGridDecode(
+      bootstrap.dynarisc_emulator, bootstrap.mocoder,
+      emblem_options.data_side, vm);
   uint64_t system_steps = 0;
   uint64_t data_steps = 0;
   ULE_ASSIGN_OR_RETURN(
       Bytes dbdecode_stream,
       DecodeSourceStream(system_frames, mocoder::StreamId::kSystem,
-                         emblem_options,
-                         MakeNestedGridDecode(bootstrap.dynarisc_emulator,
-                                              bootstrap.mocoder,
-                                              emblem_options.data_side, vm),
+                         emblem_options, nested_decode,
                          /*count_unsampled=*/true, /*skip_if_empty=*/false,
                          &local.system_stream, &system_steps));
   ULE_ASSIGN_OR_RETURN(
       Bytes container,
       DecodeSourceStream(data_frames, mocoder::StreamId::kData,
-                         emblem_options,
-                         MakeNestedGridDecode(bootstrap.dynarisc_emulator,
-                                              bootstrap.mocoder,
-                                              emblem_options.data_side, vm),
+                         emblem_options, nested_decode,
                          /*count_unsampled=*/true, /*skip_if_empty=*/false,
                          &local.data_stream, &data_steps));
   local.emulated_steps += system_steps + data_steps;

@@ -10,10 +10,15 @@
 ///   6. MODecode + the DynaRisc emulator become the Bootstrap letters
 ///   7. everything is rendered to media frames       (media)
 ///
-/// Restoration (Fig. 2b) — two paths through the same scanned frames:
-///   * RestoreNative: contemporary C++ decoders (the archival-time check);
-///   * RestoreEmulated: the future user's path — only the Bootstrap
-///     document and the scans are used: the VeRisc emulator is
+/// ArchiveDumpStreaming runs all seven, handing each rendered frame to a
+/// filmstore sink.
+///
+/// Restoration (Fig. 2b) — two paths through the same scanned frames, both
+/// pulling them from filmstore sources:
+///   * RestoreNativeStreaming: contemporary C++ decoders (the archival-time
+///     check);
+///   * RestoreEmulatedStreaming: the future user's path — only the
+///     Bootstrap document and the scans are used: the VeRisc emulator is
 ///     instantiated, the DynaRisc emulator is loaded from the Bootstrap
 ///     letters, MODecode decodes the system emblems to recover DBDecode,
 ///     and DBDecode decodes the data stream back into the SQL dump.
@@ -56,7 +61,6 @@ inline constexpr char kUleFormatVersion[] = "ULE-F1";
 struct ArchiveOptions {
   dbcoder::Scheme scheme = dbcoder::Scheme::kLzac;  ///< DBCoder scheme
   mocoder::Options emblem;                          ///< emblem geometry
-  bool render_images = true;  ///< produce printable frames (else grids only)
   /// Build the ULE-S1 record index (docs/FORMAT.md §11): the dump is
   /// chunked along its table structure, the DBCoder stream is written
   /// segmented (UDBS, §11.1) so each chunk decodes independently, and
@@ -67,22 +71,6 @@ struct ArchiveOptions {
   /// Target dump bytes per index chunk (0 = kDefaultIndexChunkBytes).
   size_t index_chunk_bytes = 0;
 };
-
-/// A complete physical archive: what gets written to the analog medium.
-struct Archive {
-  std::vector<mocoder::EncodedEmblem> data_emblems;
-  std::vector<mocoder::EncodedEmblem> system_emblems;
-  std::string bootstrap_text;            ///< the seven-page document
-  std::vector<media::Image> data_images;    ///< rendered frames
-  std::vector<media::Image> system_images;
-  mocoder::Options emblem_options;       ///< recorded for restoration
-  size_t dump_bytes = 0;                 ///< size of the textual archive
-  size_t compressed_bytes = 0;           ///< DBCoder container size
-};
-
-/// Steps 1-7: archives a textual database dump.
-Result<Archive> ArchiveDump(const std::string& sql_dump,
-                            const ArchiveOptions& options);
 
 /// What remains of a streaming archive after the frames have been written
 /// out: the Bootstrap document and the numbers the benches report.
@@ -105,14 +93,13 @@ struct ArchiveSummary {
   std::vector<filmstore::ReelStats> reels;
 };
 
-/// \brief Steps 1-7 with bounded memory: frames flow to `sink` (any
-/// filmstore backend — an in-memory store, a directory of scans, the
-/// ULE-C1 spool container, or a sharding reel set) through the
-/// shared-pool streaming pipeline instead of materializing in an
-/// Archive, so peak frame memory is O(threads × emblem) — the shape a
-/// film recorder consumes, even when the archive is much larger than
-/// RAM. The emblems and frames handed to `sink` are byte-identical to
-/// ArchiveDump's at any thread count.
+/// \brief Steps 1-7: archives a textual database dump. Frames flow to
+/// `sink` (any filmstore backend — an in-memory store, a directory of
+/// scans, the ULE-C1 spool container, or a sharding reel set) through the
+/// shared-pool streaming pipeline, so peak frame memory is
+/// O(threads × emblem) — the shape a film recorder consumes, even when
+/// the archive is much larger than RAM. The emblems and frames handed to
+/// `sink` are byte-identical at any thread count.
 Result<ArchiveSummary> ArchiveDumpStreaming(const std::string& sql_dump,
                                             const ArchiveOptions& options,
                                             filmstore::FrameSink& sink);
@@ -124,51 +111,33 @@ struct RestoreStats {
   uint64_t emulated_steps = 0;  ///< VeRisc instructions (emulated path)
 };
 
-/// Fast restoration path with contemporary (C++) decoders.
-Result<std::string> RestoreNative(const std::vector<media::Image>& data_scans,
-                                  const std::vector<media::Image>& system_scans,
-                                  const mocoder::Options& emblem_options,
-                                  RestoreStats* stats = nullptr);
-
-/// \brief RestoreNative with bounded memory: frames are pulled one at a
-/// time from any filmstore::FrameSource (a scanner shim, a directory of
-/// scans, a ULE-C1 container) and decoded concurrently with at most
-/// O(threads) frames in flight, instead of requiring every scan in a
-/// vector up front. Output and per-stream DecodeStats are byte-identical
-/// to RestoreNative over the same frames. A null `system_frames` (or one
-/// yielding nothing) skips the system-stream verification, like an empty
-/// `system_scans` vector.
+/// \brief Fast restoration path with contemporary (C++) decoders. Frames
+/// are pulled one at a time from any filmstore::FrameSource (an in-memory
+/// store, a scanner shim, a directory of scans, a ULE-C1 container) and
+/// decoded concurrently with at most O(threads) frames in flight. The
+/// system stream is decoded first (it must match the in-tree decoder the
+/// emulated path runs), then the data stream, each with the full thread
+/// budget. A null `system_frames` (or one yielding nothing) skips the
+/// system-stream verification.
 Result<std::string> RestoreNativeStreaming(
     filmstore::FrameSource& data_frames,
     filmstore::FrameSource* system_frames,
     const mocoder::Options& emblem_options, RestoreStats* stats = nullptr);
 
 /// \brief The full ULE path: restores using ONLY the Bootstrap text and the
-/// scans. `vm` is the user's VeRisc implementation (any of
-/// verisc::AllImplementations, default the reference).
+/// scans, pulled one at a time from filmstore sources. `vm` is the user's
+/// VeRisc implementation (any of verisc::AllImplementations, default the
+/// reference).
 ///
-/// The system emblems are decoded by the archived MODecode running under
-/// nested emulation, which recovers the archived DBDecode program; DBDecode
-/// (again under nested emulation) then decompresses the data stream.
-/// Per-emblem nested decodes run on `emblem_options.threads` workers; `vm`
-/// must therefore be reentrant (true for all of AllImplementations — each
-/// run uses only local state).
-Result<std::string> RestoreEmulated(
-    const std::vector<media::Image>& data_scans,
-    const std::vector<media::Image>& system_scans,
-    const std::string& bootstrap_text, const mocoder::Options& emblem_options,
-    RestoreStats* stats = nullptr,
-    verisc::VmFunction vm = &verisc::Run);
-
-/// \brief RestoreEmulated with bounded memory: the full ULE path (only
-/// the Bootstrap text and the scans), pulling frames one at a time from
-/// filmstore sources instead of materialized scan vectors. The system
-/// stream is decoded first (it yields the archived DBDecode program),
-/// then the data stream — reel order, each with the full thread budget;
-/// per-scan nested decodes fan out across pool workers with O(threads)
-/// frames in flight. Output, per-stream DecodeStats and the emulated
-/// step count are byte-identical to RestoreEmulated over the same frames
-/// at any thread count.
+/// The system emblems are decoded first, by the archived MODecode running
+/// under nested emulation, which recovers the archived DBDecode program;
+/// the data stream follows (reel order), and DBDecode (again under nested
+/// emulation) then decompresses it. Each stream gets the full thread
+/// budget: per-scan nested decodes fan out across `emblem_options.threads`
+/// pool workers with O(threads) frames in flight, so `vm` must be
+/// reentrant (true for all of AllImplementations — each run uses only
+/// local state). Output, per-stream DecodeStats and the emulated step
+/// count are byte-identical at any thread count.
 Result<std::string> RestoreEmulatedStreaming(
     filmstore::FrameSource& data_frames,
     filmstore::FrameSource& system_frames,

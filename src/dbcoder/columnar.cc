@@ -1,10 +1,13 @@
 #include "dbcoder/columnar.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "dbcoder/lz77.h"
 
 namespace ule {
 namespace dbcoder {
@@ -472,7 +475,9 @@ Result<Bytes> ColumnarEncode(BytesView raw) {
 Result<Bytes> ColumnarDecode(BytesView stream, size_t raw_len) {
   ByteReader r(stream);
   std::string out;
-  out.reserve(raw_len);
+  // Only a hint: a dictionary column may expand past the LZ bound, and
+  // then the buffer grows as usual.
+  out.reserve(std::min(raw_len, stream.size() * kMaxExpansion));
   while (true) {
     uint8_t tag;
     ULE_RETURN_IF_ERROR(r.GetU8(&tag));

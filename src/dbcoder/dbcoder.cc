@@ -1,5 +1,7 @@
 #include "dbcoder/dbcoder.h"
 
+#include <algorithm>
+
 #include "dbcoder/columnar.h"
 #include "dbcoder/lz77.h"
 #include "dbcoder/rangecoder.h"
@@ -40,7 +42,7 @@ Bytes LzssEncode(BytesView raw) {
 Result<Bytes> LzssDecode(BytesView stream, size_t raw_len) {
   BitReader r(stream);
   Bytes out;
-  out.reserve(raw_len);
+  out.reserve(std::min(raw_len, stream.size() * kMaxExpansion));
   while (out.size() < raw_len) {
     const int flag = r.GetBit();
     if (flag < 0) return Status::Corruption("LZSS: truncated stream");
@@ -139,9 +141,15 @@ Result<Bytes> LzacDecode(BytesView stream, size_t raw_len) {
   RangeDecoder dec(stream);
   LzacContexts ctx;
   Bytes out;
-  out.reserve(raw_len);
+  out.reserve(std::min(raw_len, stream.size() * kMaxExpansion));
   bool prev_match = false;
   while (out.size() < raw_len) {
+    // Past the encoder's flush the decoder only sees zero bytes: a raw
+    // length the stream cannot fill is corrupt, and must not cost time
+    // linear in the forged length before the CRC check rejects it.
+    if (dec.overrun() > kFlushBytes) {
+      return Status::Corruption("LZAC: stream ends before raw length");
+    }
     uint8_t* flag_ctx = ctx.at(prev_match ? kCtxFlagMatch : kCtxFlagLit);
     if (dec.DecodeBit(flag_ctx) == 0) {
       out.push_back(static_cast<uint8_t>(TreeDecode(&dec, &ctx, kCtxLiteral, 8)));

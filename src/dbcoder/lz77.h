@@ -14,6 +14,7 @@
 #ifndef ULE_DBCODER_LZ77_H_
 #define ULE_DBCODER_LZ77_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,15 @@ inline constexpr uint32_t kWindowSize = 1u << kWindowBits;  // 8192
 inline constexpr int kLengthBits = 5;
 inline constexpr uint32_t kMinMatch = 3;
 inline constexpr uint32_t kMaxMatch = kMinMatch + (1u << kLengthBits) - 1;  // 34
+/// \brief Upper bound on raw bytes per byte of an LZSS or LZAC token
+/// stream. LZSS spends 1 + kWindowBits + kLengthBits = 19 bits on a
+/// kMaxMatch-byte match; LZAC codes the same bits with probabilities
+/// clamped to [15, 241]/256, so each stream byte covers at most 103 coded
+/// bits (about 185 raw bytes).
+/// Decoders cap their up-front reservation at this multiple of their
+/// input, so a forged raw length cannot allocate what the input could
+/// never produce.
+inline constexpr size_t kMaxExpansion = 256;
 
 /// One LZ77 token: either a literal byte or a (distance, length) match.
 struct Token {

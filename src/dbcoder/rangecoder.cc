@@ -46,7 +46,7 @@ void RangeEncoder::EncodeBit(uint8_t* prob, int bit) {
 }
 
 Bytes RangeEncoder::Finish() {
-  for (int i = 0; i < 4; ++i) ShiftLow();
+  for (size_t i = 0; i < kFlushBytes; ++i) ShiftLow();
   return std::move(out_);
 }
 

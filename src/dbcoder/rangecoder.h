@@ -23,6 +23,7 @@
 #ifndef ULE_DBCODER_RANGECODER_H_
 #define ULE_DBCODER_RANGECODER_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "support/bytes.h"
@@ -35,6 +36,10 @@ namespace dbcoder {
 inline constexpr int kProbShift = 4;
 /// Initial probability (P(bit=0) = 0.5).
 inline constexpr uint8_t kProbInit = 128;
+/// Bytes RangeEncoder::Finish flushes after the last coded bit. Decoding
+/// a valid stream never needs more zero bytes past its end than this, so
+/// a decoder that does has a truncated stream or a forged length.
+inline constexpr size_t kFlushBytes = 4;
 
 /// \brief Encoder half of the range coder. Append bits, then Finish().
 class RangeEncoder {
@@ -70,12 +75,19 @@ class RangeDecoder {
   int DecodeBit(uint8_t* prob);
 
   size_t position() const { return pos_; }
+  /// Zero bytes supplied past the end of the stream so far.
+  size_t overrun() const { return overrun_; }
 
  private:
-  uint8_t NextByte() { return pos_ < data_.size() ? data_[pos_++] : 0; }
+  uint8_t NextByte() {
+    if (pos_ < data_.size()) return data_[pos_++];
+    ++overrun_;
+    return 0;
+  }
 
   BytesView data_;
   size_t pos_ = 0;
+  size_t overrun_ = 0;
   uint32_t range_ = 0xFFFF;
   uint32_t code_ = 0;
 };

@@ -17,9 +17,5 @@ std::unique_ptr<FrameSource> MemoryStore::OpenFrames(
   return std::make_unique<VectorSource>(Slot(id).frames);
 }
 
-std::unique_ptr<FrameSource> MemoryStore::ConsumeFrames(mocoder::StreamId id) {
-  return VectorSource::Consuming(Slot(id).frames);
-}
-
 }  // namespace filmstore
 }  // namespace ule

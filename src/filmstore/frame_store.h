@@ -9,18 +9,18 @@
 ///   * `FrameSink`    — receives each rendered frame during archival;
 ///   * `FrameSource`  — yields scanned frames one at a time at restore.
 ///
-/// Backends live next door: `MemoryStore` (below — frames in vectors, the
-/// pre-filmstore behavior), `DirectoryStore` (one image file per frame,
+/// Backends live next door: `MemoryStore` (below — frames in vectors, for
+/// archives that fit in RAM), `DirectoryStore` (one image file per frame,
 /// human-browsable), the single-file ULE-C1 container (`container.h`)
 /// that spools archives larger than RAM to disk, and the ULE-R1 reel set
 /// (`reel_set.h`) that shards one archive across many such containers.
 /// The on-disk writers all implement `ArchiveWriter` (FrameSink + the
 /// AppendBootstrap/Finish finalization half), so drivers seal any of
 /// them through one pointer. `FunctionSink`/`FunctionSource` adapt
-/// ad-hoc lambdas (the shape the old `core::FrameSink`/
-/// `core::FrameSource` typedefs had) so call sites that just want a
-/// callback keep working; `ScannerSource` (`scanner_source.h`) wraps any
-/// source in the print/scan degradation model.
+/// ad-hoc lambdas for call sites that just want a callback;
+/// `VectorSource` replays scans a caller already holds in a vector;
+/// `ScannerSource` (`scanner_source.h`) wraps any source in the print/scan
+/// degradation model.
 
 #ifndef ULE_FILMSTORE_FRAME_STORE_H_
 #define ULE_FILMSTORE_FRAME_STORE_H_
@@ -53,8 +53,7 @@ struct ReelStats {
 /// \brief Receives one rendered frame (and its encoded emblem) during a
 /// streaming archive. Frames arrive grouped by stream — every data frame,
 /// then every system frame — in sequence order within each stream, i.e.
-/// exactly the order `core::Archive::data_images` / `system_images` would
-/// hold them. A non-OK status aborts the archive. Called serially from
+/// reel order. A non-OK status aborts the archive. Called serially from
 /// the archiving thread.
 class FrameSink {
  public:
@@ -102,7 +101,7 @@ class FrameSource {
   virtual Result<std::optional<media::Image>> Next() = 0;
 };
 
-/// Adapts a callback to FrameSink (the old `core::FrameSink` shape).
+/// Adapts a callback to FrameSink.
 class FunctionSink final : public FrameSink {
  public:
   using Fn = std::function<Status(mocoder::StreamId id,
@@ -119,31 +118,14 @@ class FunctionSink final : public FrameSink {
   Fn fn_;
 };
 
-/// \brief Adapts a pull callback to FrameSource. The native callback
-/// shape carries the full FrameSource contract — a frame, end-of-reel,
-/// or an error Status — so a backing-store read failure aborts the
-/// restore instead of masquerading as a short reel.
+/// \brief Adapts a pull callback to FrameSource. The callback carries the
+/// full FrameSource contract — a frame, end-of-reel, or an error Status —
+/// so a backing-store read failure aborts the restore instead of
+/// masquerading as a short reel.
 class FunctionSource final : public FrameSource {
  public:
-  /// Error-capable pull callback (the native shape).
   using Fn = std::function<Result<std::optional<media::Image>>()>;
-  /// Legacy shape with no error channel (the old `core::FrameSource`
-  /// typedef): nullopt ends the reel, so a read failure is
-  /// indistinguishable from exhaustion and silently truncates.
-  using InfallibleFn = std::function<std::optional<media::Image>()>;
-
   explicit FunctionSource(Fn fn) : fn_(std::move(fn)) {}
-
-  /// Wraps a callback with no error channel. Only for callbacks that
-  /// genuinely cannot fail (in-memory generators); anything touching
-  /// storage should use the Result-returning constructor, where a
-  /// mid-reel I/O failure surfaces as a non-OK Status.
-  static FunctionSource FromInfallible(InfallibleFn fn) {
-    return FunctionSource(
-        [fn = std::move(fn)]() -> Result<std::optional<media::Image>> {
-          return fn();
-        });
-  }
 
   Result<std::optional<media::Image>> Next() override { return fn_(); }
 
@@ -151,48 +133,26 @@ class FunctionSource final : public FrameSource {
   Fn fn_;
 };
 
-/// \brief Yields the images of a vector, in order. Borrowing mode (const
-/// reference: the vector must outlive the source) yields copies; owning
-/// mode (rvalue) and `Consuming` *move* each frame out instead, so a
-/// restore from memory does not pay O(archive) extra RSS on top of the
-/// store itself — the vector's images are left moved-from.
+/// \brief Yields copies of the images of a vector, in order. The vector
+/// must outlive the source.
 class VectorSource final : public FrameSource {
  public:
   explicit VectorSource(const std::vector<media::Image>& frames)
       : frames_(&frames) {}
-  explicit VectorSource(std::vector<media::Image>&& frames)
-      : owned_(std::move(frames)), frames_(&owned_), mutable_frames_(&owned_) {}
-
-  /// Consuming source over frames owned elsewhere: each Next() moves the
-  /// frame out of `frames` (which must outlive the source), leaving an
-  /// empty shell behind.
-  static std::unique_ptr<VectorSource> Consuming(
-      std::vector<media::Image>& frames) {
-    auto source = std::make_unique<VectorSource>(
-        static_cast<const std::vector<media::Image>&>(frames));
-    source->mutable_frames_ = &frames;
-    return source;
-  }
 
   Result<std::optional<media::Image>> Next() override {
     if (next_ >= frames_->size()) return std::optional<media::Image>();
-    if (mutable_frames_ != nullptr) {
-      return std::optional<media::Image>(std::move((*mutable_frames_)[next_++]));
-    }
     return std::optional<media::Image>((*frames_)[next_++]);
   }
 
  private:
-  std::vector<media::Image> owned_;
   const std::vector<media::Image>* frames_;
-  std::vector<media::Image>* mutable_frames_ = nullptr;
   size_t next_ = 0;
 };
 
 /// \brief In-memory film store: frames (and their emblems) accumulate in
-/// per-stream vectors — the materialized shape every pre-filmstore call
-/// site used. Peak memory is O(archive); use the ULE-C1 container
-/// (`container.h`) when the archive may not fit in RAM.
+/// per-stream vectors. Peak memory is O(archive); use the ULE-C1
+/// container (`container.h`) when the archive may not fit in RAM.
 class MemoryStore final : public FrameSink {
  public:
   Status Append(mocoder::StreamId id, const mocoder::EncodedEmblem& emblem,
@@ -210,12 +170,6 @@ class MemoryStore final : public FrameSink {
   /// store must outlive the source; frames appended after the call are
   /// picked up until the source reports end-of-reel.
   std::unique_ptr<FrameSource> OpenFrames(mocoder::StreamId id) const;
-
-  /// Like OpenFrames but *moves* each frame out of the store (leaving
-  /// empty shells), so restoring from memory holds one live copy per
-  /// frame instead of two. The store must outlive the source; the
-  /// stream's frames are unusable afterwards (emblems are untouched).
-  std::unique_ptr<FrameSource> ConsumeFrames(mocoder::StreamId id);
 
  private:
   struct Stream {

@@ -6,16 +6,14 @@
 /// Decoding: scanned images → sampled intensity grids → per-emblem decode
 /// → outer reassembly (erasure recovery of whole lost emblems).
 ///
-/// Two API shapes cover the same pipeline (byte-identical results):
-///
-///   * Materialized (`EncodeStream`/`RenderAll`/`DecodeImages`): vectors
-///     in, vectors out. Convenient; peak memory is O(archive).
-///   * Streaming (`EncodeToSink` / `StreamDecoder`): emblems flow
-///     stage-to-stage through a bounded window on the shared thread pool,
-///     so peak memory for grids and frames is O(threads × emblem) — the
-///     shape `core::ArchiveDumpStreaming` / `RestoreNativeStreaming` and
-///     real scanners use. The on-film format is specified in
-///     docs/FORMAT.md.
+/// The pipeline is streaming (`EncodeToSink` / `StreamDecoder`): emblems
+/// flow stage-to-stage through a bounded window on the shared thread
+/// pool, so peak memory for grids and frames is O(threads × emblem) — the
+/// shape `core::ArchiveDumpStreaming`, both `core` restores and real
+/// scanners use. `EncodeStream`/`RenderAll`/`DecodeImages`/
+/// `DecodeSampledGrids` are vector-in/vector-out conveniences over the
+/// same stages (byte-identical results; peak memory O(archive)). The
+/// on-film format is specified in docs/FORMAT.md.
 
 #ifndef ULE_MOCODER_MOCODER_H_
 #define ULE_MOCODER_MOCODER_H_
@@ -133,8 +131,8 @@ using GridDecodeFn = std::function<GridDecodeResult(BytesView grid)>;
 /// size. Only the small per-emblem records (header + payload) accumulate.
 /// `Finish` performs the deterministic serial merge (outer-code
 /// reassembly) in push order, making output and DecodeStats byte-identical
-/// to the materialized `DecodeImages`/`DecodeSampledGrids` at any thread
-/// count.
+/// at any thread count (`DecodeImages`/`DecodeSampledGrids` are this
+/// decoder fed from a vector).
 ///
 /// Not thread-safe: Push*/Finish must be called from one thread.
 class StreamDecoder {

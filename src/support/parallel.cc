@@ -21,12 +21,6 @@ int ResolveThreadCount(int threads) {
   return threads > 0 ? threads : DefaultThreadCount();
 }
 
-int SplitThreads(int threads, int branches) {
-  if (branches < 1) branches = 1;
-  const int total = ResolveThreadCount(threads);
-  return total / branches > 0 ? total / branches : 1;
-}
-
 ThreadPool::ThreadPool(int thread_count) {
   EnsureWorkers(ResolveThreadCount(thread_count));
 }
@@ -216,12 +210,6 @@ Status ParallelFor(size_t begin, size_t end,
   SubmitHelpers(state, workers - 1);
   state->DrainClaims();
   return FinishFor(state);
-}
-
-Status ParallelTasks(const std::vector<std::function<Status()>>& tasks,
-                     int threads) {
-  return ParallelFor(
-      0, tasks.size(), [&tasks](size_t i) { return tasks[i](); }, threads);
 }
 
 namespace {

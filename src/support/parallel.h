@@ -1,17 +1,16 @@
 /// \file parallel.h
 /// \brief Data-parallel primitives for the archive/restore paths.
 ///
-/// The emblem pipeline is embarrassingly parallel across frames, and the
-/// archive/restore hot paths fan out across the data/system streams. This
-/// header provides what those call sites need and nothing more:
+/// The emblem pipeline is embarrassingly parallel across frames. This
+/// header provides what its call sites need and nothing more:
 ///
 ///   * `ThreadPool` — a plain FIFO-queue pool (growable, no work stealing);
 ///   * `SharedPool()` — the process-wide persistent instance every helper
 ///     below schedules onto, so pipeline stages reuse the same worker
 ///     threads (and their thread-local VeRisc scratch machines) instead of
 ///     constructing a pool per call;
-///   * `ParallelFor` / `ParallelTasks` — index-based fan-out with
-///     deterministic error semantics;
+///   * `ParallelFor` — index-based fan-out with deterministic error
+///     semantics;
 ///   * `ParallelForOrdered` — the streaming variant: produce in parallel,
 ///     consume serially in index order through a bounded in-flight window;
 ///   * `BoundedChannel<T>` — a small blocking MPMC queue for push-driven
@@ -63,14 +62,6 @@ int DefaultThreadCount();
 /// Resolves a thread-count knob: `threads` if positive, else
 /// DefaultThreadCount().
 int ResolveThreadCount(int threads);
-
-/// \brief Splits a thread budget across `branches` concurrent subtasks.
-///
-/// Nested fan-out (e.g. two streams each encoding emblems in parallel)
-/// passes the result as the inner level's thread knob so the tree's total
-/// worker count stays near the resolved budget instead of multiplying by
-/// the nesting depth. Never returns less than 1.
-int SplitThreads(int threads, int branches);
 
 /// \brief A growable thread pool with a shared FIFO queue.
 ///
@@ -142,11 +133,6 @@ ThreadPool& SharedPool();
 /// one worker (or a one-element range) it degenerates to the serial loop.
 Status ParallelFor(size_t begin, size_t end,
                    const std::function<Status(size_t)>& fn, int threads = 0);
-
-/// Runs each task once, concurrently; same error semantics as ParallelFor
-/// (task order index = position in the vector).
-Status ParallelTasks(const std::vector<std::function<Status()>>& tasks,
-                     int threads = 0);
 
 /// \brief Streaming parallel-for: `produce(i)` runs on up to `threads`
 /// concurrent workers, `consume(i)` runs on the calling thread in strictly

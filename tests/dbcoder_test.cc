@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -260,6 +261,27 @@ TEST_P(SchemeRoundTrip, OneByte) {
   auto back = Decode(packed.value());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), data);
+}
+
+// A container whose header claims far more output than its stream holds
+// must fail as Corruption quickly: decode time and memory are bounded by
+// the input, not by the forged length.
+TEST_P(SchemeRoundTrip, ForgedRawLengthIsCorruption) {
+  Rng rng(11);
+  const Bytes data = CompressibleText(&rng, 2500);
+  auto packed = Encode(data, GetParam());
+  ASSERT_TRUE(packed.ok());
+  Bytes forged = packed.TakeValue();
+  for (size_t i = 5; i < 9; ++i) forged[i] = 0xFF;  // raw_len = 0xFFFFFFFF
+  const auto start = std::chrono::steady_clock::now();
+  auto back = Decode(forged);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
+      << back.status().ToString();
+  EXPECT_LT(seconds, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeRoundTrip,

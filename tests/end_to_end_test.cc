@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/micr_olonys.h"
+#include "dbcoder/dbcoder.h"
 #include "filmstore/container.h"
 #include "filmstore/frame_store.h"
 #include "media/scanner.h"
@@ -20,29 +21,79 @@ namespace ule {
 namespace core {
 namespace {
 
+using mocoder::StreamId;
 using testutil::SmallArchiveOptions;
 using testutil::SmallTpchDump;
 
+// The smallest useful dump for the nested-emulation tests (which run ~2-3
+// decimal orders slower than native).
+constexpr char kTinyDump[] = "CREATE TABLE t (\n    a bigint\n);\n"
+                             "COPY t (a) FROM stdin;\n1\n2\n3\n\\.\n";
+
+/// Native restore of everything in an in-memory film store.
+Result<std::string> RestoreNativeFromStore(const filmstore::MemoryStore& store,
+                                           const mocoder::Options& options,
+                                           RestoreStats* stats = nullptr) {
+  auto data = store.OpenFrames(StreamId::kData);
+  auto system = store.OpenFrames(StreamId::kSystem);
+  return RestoreNativeStreaming(*data, system.get(), options, stats);
+}
+
+/// Emulated restore (Bootstrap + scans only) of an in-memory film store.
+Result<std::string> RestoreEmulatedFromStore(
+    const filmstore::MemoryStore& store, const std::string& bootstrap_text,
+    const mocoder::Options& options, RestoreStats* stats = nullptr,
+    verisc::VmFunction vm = &verisc::Run) {
+  auto data = store.OpenFrames(StreamId::kData);
+  auto system = store.OpenFrames(StreamId::kSystem);
+  return RestoreEmulatedStreaming(*data, *system, bootstrap_text, options,
+                                  stats, vm);
+}
+
+void ExpectSameStats(const mocoder::DecodeStats& a,
+                     const mocoder::DecodeStats& b) {
+  EXPECT_EQ(a.emblems_total, b.emblems_total);
+  EXPECT_EQ(a.emblems_decoded, b.emblems_decoded);
+  EXPECT_EQ(a.emblems_recovered, b.emblems_recovered);
+  EXPECT_EQ(a.rs_errors_corrected, b.rs_errors_corrected);
+}
+
 TEST(EndToEndTest, ArchiveProducesAllArtifacts) {
   const std::string dump = SmallTpchDump();
-  auto archive = ArchiveDump(dump, SmallArchiveOptions());
-  ASSERT_TRUE(archive.ok()) << archive.status().ToString();
-  EXPECT_GT(archive.value().data_emblems.size(), 0u);
-  EXPECT_GT(archive.value().system_emblems.size(), 0u);
-  EXPECT_FALSE(archive.value().bootstrap_text.empty());
-  EXPECT_EQ(archive.value().data_images.size(),
-            archive.value().data_emblems.size());
-  EXPECT_LT(archive.value().compressed_bytes, archive.value().dump_bytes);
+  ArchiveOptions opt = SmallArchiveOptions();
+  opt.emblem.threads = 4;
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, opt, store);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_GT(store.emblems(StreamId::kData).size(), 0u);
+  EXPECT_GT(store.emblems(StreamId::kSystem).size(), 0u);
+  EXPECT_FALSE(summary.value().bootstrap_text.empty());
+  for (StreamId id : {StreamId::kData, StreamId::kSystem}) {
+    EXPECT_EQ(store.frames(id).size(), store.emblems(id).size());
+    for (const auto& emblem : store.emblems(id)) {
+      EXPECT_EQ(emblem.header.stream, id);
+    }
+  }
+  EXPECT_EQ(summary.value().data_frames,
+            store.frames(StreamId::kData).size());
+  EXPECT_EQ(summary.value().system_frames,
+            store.frames(StreamId::kSystem).size());
+  EXPECT_EQ(summary.value().dump_bytes, dump.size());
+  EXPECT_LT(summary.value().compressed_bytes, summary.value().dump_bytes);
+  // The summary reports the machine's actual parallelism while the
+  // recorded archival options stay thread-neutral.
+  EXPECT_EQ(summary.value().threads_used, 4);
+  EXPECT_EQ(summary.value().emblem_options.threads, 0);
 }
 
 TEST(EndToEndTest, NativeRestoreCleanImages) {
   const std::string dump = SmallTpchDump();
-  auto archive = ArchiveDump(dump, SmallArchiveOptions());
-  ASSERT_TRUE(archive.ok());
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, SmallArchiveOptions(), store);
+  ASSERT_TRUE(summary.ok());
   RestoreStats stats;
   auto restored =
-      RestoreNative(archive.value().data_images, archive.value().system_images,
-                    archive.value().emblem_options, &stats);
+      RestoreNativeFromStore(store, summary.value().emblem_options, &stats);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), dump);
   EXPECT_EQ(stats.data_stream.emblems_decoded,
@@ -51,8 +102,9 @@ TEST(EndToEndTest, NativeRestoreCleanImages) {
 
 TEST(EndToEndTest, NativeRestoreThroughScanner) {
   const std::string dump = SmallTpchDump();
-  auto archive = ArchiveDump(dump, SmallArchiveOptions());
-  ASSERT_TRUE(archive.ok());
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, SmallArchiveOptions(), store);
+  ASSERT_TRUE(summary.ok());
   media::ScanProfile sp;
   sp.rotation_deg = 0.4;
   sp.blur_sigma = 0.6;
@@ -60,14 +112,16 @@ TEST(EndToEndTest, NativeRestoreThroughScanner) {
   sp.dust_per_megapixel = 2;
   sp.seed = 321;
   std::vector<media::Image> data_scans, system_scans;
-  for (const auto& img : archive.value().data_images) {
+  for (const auto& img : store.frames(StreamId::kData)) {
     data_scans.push_back(media::Scan(img, sp));
   }
-  for (const auto& img : archive.value().system_images) {
+  for (const auto& img : store.frames(StreamId::kSystem)) {
     system_scans.push_back(media::Scan(img, sp));
   }
-  auto restored = RestoreNative(data_scans, system_scans,
-                                archive.value().emblem_options);
+  filmstore::VectorSource data_source(data_scans);
+  filmstore::VectorSource system_source(system_scans);
+  auto restored = RestoreNativeStreaming(data_source, &system_source,
+                                         summary.value().emblem_options);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), dump);
 }
@@ -81,11 +135,10 @@ TEST(EndToEndTest, RestoredDumpLoadsAndQueries) {
   ASSERT_TRUE(db.ok());
   const std::string dump = minidb::DumpSql(db.value());
 
-  auto archive = ArchiveDump(dump, SmallArchiveOptions());
-  ASSERT_TRUE(archive.ok());
-  auto restored =
-      RestoreNative(archive.value().data_images, archive.value().system_images,
-                    archive.value().emblem_options);
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, SmallArchiveOptions(), store);
+  ASSERT_TRUE(summary.ok());
+  auto restored = RestoreNativeFromStore(store, summary.value().emblem_options);
   ASSERT_TRUE(restored.ok());
 
   auto reloaded = minidb::LoadSql(restored.value());
@@ -104,18 +157,17 @@ TEST(EndToEndTest, RestoredDumpLoadsAndQueries) {
 
 TEST(EndToEndTest, FullyEmulatedRestore) {
   // The headline: restoration with nothing but the Bootstrap document,
-  // the scans, and a 4-instruction VM. Small payload (nested emulation
-  // runs ~2-3 decimal orders slower than native).
-  const std::string dump = "CREATE TABLE t (\n    a bigint\n);\n"
-                           "COPY t (a) FROM stdin;\n1\n2\n3\n\\.\n";
+  // the scans, and a 4-instruction VM.
+  const std::string dump = kTinyDump;
   ArchiveOptions opt;
   opt.emblem.data_side = 65;  // smallest emblems: fastest emulation
-  auto archive = ArchiveDump(dump, opt);
-  ASSERT_TRUE(archive.ok());
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, opt, store);
+  ASSERT_TRUE(summary.ok());
   RestoreStats stats;
-  auto restored = RestoreEmulated(
-      archive.value().data_images, archive.value().system_images,
-      archive.value().bootstrap_text, archive.value().emblem_options, &stats);
+  auto restored = RestoreEmulatedFromStore(
+      store, summary.value().bootstrap_text, summary.value().emblem_options,
+      &stats);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), dump);
   EXPECT_GT(stats.emulated_steps, 0u);
@@ -126,15 +178,52 @@ TEST(EndToEndTest, EmulatedRestoreOnIndependentVm) {
   const std::string dump = "hello archive\n";
   ArchiveOptions opt;
   opt.emblem.data_side = 65;
-  auto archive = ArchiveDump(dump, opt);
-  ASSERT_TRUE(archive.ok());
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, opt, store);
+  ASSERT_TRUE(summary.ok());
   const auto& impls = verisc::AllImplementations();
-  auto restored = RestoreEmulated(
-      archive.value().data_images, archive.value().system_images,
-      archive.value().bootstrap_text, archive.value().emblem_options,
+  auto restored = RestoreEmulatedFromStore(
+      store, summary.value().bootstrap_text, summary.value().emblem_options,
       nullptr, impls[1].run);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), dump);
+}
+
+TEST(EndToEndTest, EmulatedRestoreOfSegmentedArchive) {
+  // With a record index the DBCoder stream is written segmented (UDBS);
+  // the emulated path runs the archived DBDecode once per segment and
+  // must still return the dump byte for byte.
+  const std::string dump =
+      "CREATE TABLE t (\n    a bigint\n);\n"
+      "COPY t (a) FROM stdin;\n1\n2\n3\n4\n5\n6\n\\.\n"
+      "CREATE TABLE u (\n    b text\n);\n"
+      "COPY u (b) FROM stdin;\nx\ny\n\\.\n";
+  ArchiveOptions opt;
+  opt.emblem.data_side = 65;  // smallest emblems: fastest emulation
+  opt.build_index = true;
+  opt.index_chunk_bytes = 8;
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, opt, store);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+
+  // The archived stream really is segmented, so the per-segment branch
+  // of the emulated DBDecode driver is the one under test.
+  auto stream = mocoder::DecodeImages(store.frames(StreamId::kData),
+                                      StreamId::kData,
+                                      summary.value().emblem_options);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  ASSERT_TRUE(dbcoder::IsSegmented(stream.value()));
+  auto segments = dbcoder::ListSegments(stream.value());
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  EXPECT_GE(segments.value().size(), 2u);
+
+  RestoreStats stats;
+  auto restored = RestoreEmulatedFromStore(
+      store, summary.value().bootstrap_text, summary.value().emblem_options,
+      &stats);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value(), dump);
+  EXPECT_GT(stats.emulated_steps, 0u);
 }
 
 TEST(EndToEndTest, ParallelArchiveAndRestoreMatchSerialByteForByte) {
@@ -146,185 +235,73 @@ TEST(EndToEndTest, ParallelArchiveAndRestoreMatchSerialByteForByte) {
   ArchiveOptions parallel_opt = SmallArchiveOptions();
   parallel_opt.emblem.threads = 4;
 
-  auto serial = ArchiveDump(dump, serial_opt);
-  auto parallel = ArchiveDump(dump, parallel_opt);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(serial.value().bootstrap_text, parallel.value().bootstrap_text);
-  ASSERT_EQ(serial.value().data_emblems.size(),
-            parallel.value().data_emblems.size());
-  for (size_t i = 0; i < serial.value().data_emblems.size(); ++i) {
-    EXPECT_EQ(serial.value().data_emblems[i].header.seq,
-              parallel.value().data_emblems[i].header.seq);
-    EXPECT_EQ(serial.value().data_emblems[i].grid.cells,
-              parallel.value().data_emblems[i].grid.cells);
+  filmstore::MemoryStore serial, parallel;
+  auto serial_summary = ArchiveDumpStreaming(dump, serial_opt, serial);
+  auto parallel_summary = ArchiveDumpStreaming(dump, parallel_opt, parallel);
+  ASSERT_TRUE(serial_summary.ok());
+  ASSERT_TRUE(parallel_summary.ok());
+  EXPECT_EQ(serial_summary.value().bootstrap_text,
+            parallel_summary.value().bootstrap_text);
+  EXPECT_EQ(serial_summary.value().compressed_bytes,
+            parallel_summary.value().compressed_bytes);
+  const auto& serial_emblems = serial.emblems(StreamId::kData);
+  const auto& parallel_emblems = parallel.emblems(StreamId::kData);
+  ASSERT_EQ(serial_emblems.size(), parallel_emblems.size());
+  for (size_t i = 0; i < serial_emblems.size(); ++i) {
+    EXPECT_EQ(serial_emblems[i].header.seq, parallel_emblems[i].header.seq);
+    EXPECT_EQ(serial_emblems[i].grid.cells, parallel_emblems[i].grid.cells);
   }
-  ASSERT_EQ(serial.value().data_images.size(),
-            parallel.value().data_images.size());
-  for (size_t i = 0; i < serial.value().data_images.size(); ++i) {
-    EXPECT_EQ(serial.value().data_images[i].pixels(),
-              parallel.value().data_images[i].pixels());
-  }
-  ASSERT_EQ(serial.value().system_images.size(),
-            parallel.value().system_images.size());
-  for (size_t i = 0; i < serial.value().system_images.size(); ++i) {
-    EXPECT_EQ(serial.value().system_images[i].pixels(),
-              parallel.value().system_images[i].pixels());
+  for (StreamId id : {StreamId::kData, StreamId::kSystem}) {
+    const auto& serial_frames = serial.frames(id);
+    const auto& parallel_frames = parallel.frames(id);
+    ASSERT_EQ(serial_frames.size(), parallel_frames.size());
+    for (size_t i = 0; i < serial_frames.size(); ++i) {
+      EXPECT_EQ(serial_frames[i].pixels(), parallel_frames[i].pixels());
+    }
   }
 
   // Cross-restore: parallel restore of the serial archive and vice versa,
   // so a mode-dependent decode bug cannot hide behind a same-mode pairing.
   RestoreStats serial_stats, parallel_stats;
   auto restored_serial =
-      RestoreNative(parallel.value().data_images,
-                    parallel.value().system_images, serial_opt.emblem,
-                    &serial_stats);
+      RestoreNativeFromStore(parallel, serial_opt.emblem, &serial_stats);
   auto restored_parallel =
-      RestoreNative(serial.value().data_images, serial.value().system_images,
-                    parallel_opt.emblem, &parallel_stats);
+      RestoreNativeFromStore(serial, parallel_opt.emblem, &parallel_stats);
   ASSERT_TRUE(restored_serial.ok()) << restored_serial.status().ToString();
   ASSERT_TRUE(restored_parallel.ok()) << restored_parallel.status().ToString();
   EXPECT_EQ(restored_serial.value(), dump);
   EXPECT_EQ(restored_parallel.value(), restored_serial.value());
-  EXPECT_EQ(parallel_stats.data_stream.emblems_decoded,
-            serial_stats.data_stream.emblems_decoded);
-  EXPECT_EQ(parallel_stats.data_stream.rs_errors_corrected,
-            serial_stats.data_stream.rs_errors_corrected);
+  ExpectSameStats(parallel_stats.data_stream, serial_stats.data_stream);
+  ExpectSameStats(parallel_stats.system_stream, serial_stats.system_stream);
 }
 
 TEST(EndToEndTest, ParallelEmulatedRestoreMatchesSerial) {
-  // Nested emulation fans out per emblem; output must stay byte-identical.
-  const std::string dump = "CREATE TABLE t (\n    a bigint\n);\n"
-                           "COPY t (a) FROM stdin;\n1\n2\n3\n\\.\n";
+  // Nested emulation fans out per emblem; output, per-stream stats and
+  // the emulated step count must not depend on the thread count.
+  const std::string dump = kTinyDump;
   ArchiveOptions opt;
   opt.emblem.data_side = 65;  // smallest emblems: fastest emulation
-  auto archive = ArchiveDump(dump, opt);
-  ASSERT_TRUE(archive.ok());
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, opt, store);
+  ASSERT_TRUE(summary.ok());
 
-  mocoder::Options serial_opt = archive.value().emblem_options;
+  mocoder::Options serial_opt = summary.value().emblem_options;
   serial_opt.threads = 1;
-  mocoder::Options parallel_opt = archive.value().emblem_options;
+  mocoder::Options parallel_opt = summary.value().emblem_options;
   parallel_opt.threads = 4;
   RestoreStats serial_stats, parallel_stats;
-  auto serial = RestoreEmulated(
-      archive.value().data_images, archive.value().system_images,
-      archive.value().bootstrap_text, serial_opt, &serial_stats);
-  auto parallel = RestoreEmulated(
-      archive.value().data_images, archive.value().system_images,
-      archive.value().bootstrap_text, parallel_opt, &parallel_stats);
+  auto serial = RestoreEmulatedFromStore(store, summary.value().bootstrap_text,
+                                         serial_opt, &serial_stats);
+  auto parallel = RestoreEmulatedFromStore(
+      store, summary.value().bootstrap_text, parallel_opt, &parallel_stats);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(serial.value(), dump);
   EXPECT_EQ(parallel.value(), serial.value());
-  // Step accounting is summed deterministically regardless of scheduling.
+  ExpectSameStats(parallel_stats.data_stream, serial_stats.data_stream);
+  ExpectSameStats(parallel_stats.system_stream, serial_stats.system_stream);
+  EXPECT_GT(serial_stats.emulated_steps, 0u);
   EXPECT_EQ(parallel_stats.emulated_steps, serial_stats.emulated_steps);
-}
-
-TEST(EndToEndTest, StreamingArchiveAndRestoreMatchMaterializedByteForByte) {
-  // The bounded-memory pipeline contract: ArchiveDumpStreaming emits the
-  // exact frames ArchiveDump materializes, and RestoreNativeStreaming
-  // restores the exact bytes (and DecodeStats) RestoreNative does.
-  const std::string dump = SmallTpchDump();
-  ArchiveOptions opt = SmallArchiveOptions();
-  opt.emblem.threads = 4;
-
-  auto materialized = ArchiveDump(dump, opt);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-
-  filmstore::MemoryStore store;
-  auto summary = ArchiveDumpStreaming(dump, opt, store);
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  const auto& data_frames = store.frames(mocoder::StreamId::kData);
-  const auto& system_frames = store.frames(mocoder::StreamId::kSystem);
-  for (mocoder::StreamId id :
-       {mocoder::StreamId::kData, mocoder::StreamId::kSystem}) {
-    for (const auto& emblem : store.emblems(id)) {
-      EXPECT_EQ(emblem.header.stream, id);
-    }
-  }
-  EXPECT_EQ(summary.value().bootstrap_text,
-            materialized.value().bootstrap_text);
-  EXPECT_EQ(summary.value().dump_bytes, materialized.value().dump_bytes);
-  EXPECT_EQ(summary.value().compressed_bytes,
-            materialized.value().compressed_bytes);
-  EXPECT_EQ(summary.value().data_frames, data_frames.size());
-  EXPECT_EQ(summary.value().system_frames, system_frames.size());
-  // The satellite fix: the summary reports the machine's actual
-  // parallelism while the recorded archival options stay thread-neutral.
-  EXPECT_EQ(summary.value().threads_used, 4);
-  EXPECT_EQ(summary.value().emblem_options.threads, 0);
-
-  ASSERT_EQ(data_frames.size(), materialized.value().data_images.size());
-  for (size_t i = 0; i < data_frames.size(); ++i) {
-    EXPECT_EQ(data_frames[i].pixels(),
-              materialized.value().data_images[i].pixels());
-  }
-  ASSERT_EQ(system_frames.size(), materialized.value().system_images.size());
-  for (size_t i = 0; i < system_frames.size(); ++i) {
-    EXPECT_EQ(system_frames[i].pixels(),
-              materialized.value().system_images[i].pixels());
-  }
-
-  // Restore both ways from the same frames; outputs and stats must agree.
-  RestoreStats mat_stats, stream_stats;
-  auto mat_restored =
-      RestoreNative(materialized.value().data_images,
-                    materialized.value().system_images,
-                    materialized.value().emblem_options, &mat_stats);
-  ASSERT_TRUE(mat_restored.ok()) << mat_restored.status().ToString();
-  auto data_source = store.OpenFrames(mocoder::StreamId::kData);
-  auto system_source = store.OpenFrames(mocoder::StreamId::kSystem);
-  auto stream_restored =
-      RestoreNativeStreaming(*data_source, system_source.get(),
-                             summary.value().emblem_options, &stream_stats);
-  ASSERT_TRUE(stream_restored.ok()) << stream_restored.status().ToString();
-  EXPECT_EQ(stream_restored.value(), dump);
-  EXPECT_EQ(stream_restored.value(), mat_restored.value());
-  EXPECT_EQ(stream_stats.data_stream.emblems_total,
-            mat_stats.data_stream.emblems_total);
-  EXPECT_EQ(stream_stats.data_stream.emblems_decoded,
-            mat_stats.data_stream.emblems_decoded);
-  EXPECT_EQ(stream_stats.data_stream.emblems_recovered,
-            mat_stats.data_stream.emblems_recovered);
-  EXPECT_EQ(stream_stats.data_stream.rs_errors_corrected,
-            mat_stats.data_stream.rs_errors_corrected);
-  EXPECT_EQ(stream_stats.system_stream.emblems_decoded,
-            mat_stats.system_stream.emblems_decoded);
-}
-
-TEST(EndToEndTest, StreamingEmulatedRestoreMatchesMaterialized) {
-  // The streaming RestoreEmulatedStreaming entry point is the same full
-  // ULE path (Bootstrap + scans only), pulling frames from filmstore
-  // sources; output, stats and step counts must match RestoreEmulated.
-  const std::string dump = "CREATE TABLE t (\n    a bigint\n);\n"
-                           "COPY t (a) FROM stdin;\n1\n2\n3\n\\.\n";
-  ArchiveOptions opt;
-  opt.emblem.data_side = 65;  // smallest emblems: fastest emulation
-  auto archive = ArchiveDump(dump, opt);
-  ASSERT_TRUE(archive.ok());
-
-  RestoreStats mat_stats, stream_stats;
-  auto materialized = RestoreEmulated(
-      archive.value().data_images, archive.value().system_images,
-      archive.value().bootstrap_text, archive.value().emblem_options,
-      &mat_stats);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-
-  filmstore::VectorSource data_source(archive.value().data_images);
-  filmstore::VectorSource system_source(archive.value().system_images);
-  auto streamed = RestoreEmulatedStreaming(
-      data_source, system_source, archive.value().bootstrap_text,
-      archive.value().emblem_options, &stream_stats);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_EQ(streamed.value(), dump);
-  EXPECT_EQ(streamed.value(), materialized.value());
-  EXPECT_EQ(stream_stats.emulated_steps, mat_stats.emulated_steps);
-  EXPECT_EQ(stream_stats.data_stream.emblems_total,
-            mat_stats.data_stream.emblems_total);
-  EXPECT_EQ(stream_stats.data_stream.emblems_decoded,
-            mat_stats.data_stream.emblems_decoded);
-  EXPECT_EQ(stream_stats.system_stream.emblems_decoded,
-            mat_stats.system_stream.emblems_decoded);
 }
 
 TEST(EndToEndTest, ContainerSpoolRoundTripAcrossThreadCounts) {
@@ -375,17 +352,22 @@ TEST(EndToEndTest, ContainerSpoolRoundTripAcrossThreadCounts) {
 
 TEST(EndToEndTest, SurvivesLostEmblems) {
   const std::string dump = SmallTpchDump();
-  auto archive = ArchiveDump(dump, SmallArchiveOptions());
-  ASSERT_TRUE(archive.ok());
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, SmallArchiveOptions(), store);
+  ASSERT_TRUE(summary.ok());
   // Destroy two data frames entirely (within the 3-per-20 outer budget).
+  const auto& frames = store.frames(StreamId::kData);
   std::vector<media::Image> data_scans;
-  for (size_t i = 0; i < archive.value().data_images.size(); ++i) {
+  for (size_t i = 0; i < frames.size(); ++i) {
     if (i == 1 || i == 4) continue;
-    data_scans.push_back(archive.value().data_images[i]);
+    data_scans.push_back(frames[i]);
   }
+  filmstore::VectorSource data_source(data_scans);
+  auto system_source = store.OpenFrames(StreamId::kSystem);
   RestoreStats stats;
-  auto restored = RestoreNative(data_scans, archive.value().system_images,
-                                archive.value().emblem_options, &stats);
+  auto restored =
+      RestoreNativeStreaming(data_source, system_source.get(),
+                             summary.value().emblem_options, &stats);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), dump);
   EXPECT_GT(stats.data_stream.emblems_recovered, 0);
@@ -393,16 +375,17 @@ TEST(EndToEndTest, SurvivesLostEmblems) {
 
 TEST(EndToEndTest, TooManyLostEmblemsFailsCleanly) {
   const std::string dump = SmallTpchDump();
-  auto archive = ArchiveDump(dump, SmallArchiveOptions());
-  ASSERT_TRUE(archive.ok());
-  const size_t total = archive.value().data_images.size();
-  if (total < 6) GTEST_SKIP() << "archive too small to lose 4 emblems";
-  std::vector<media::Image> data_scans;
-  for (size_t i = 4; i < total; ++i) {
-    data_scans.push_back(archive.value().data_images[i]);
-  }
-  auto restored = RestoreNative(data_scans, archive.value().system_images,
-                                archive.value().emblem_options);
+  filmstore::MemoryStore store;
+  auto summary = ArchiveDumpStreaming(dump, SmallArchiveOptions(), store);
+  ASSERT_TRUE(summary.ok());
+  const auto& frames = store.frames(StreamId::kData);
+  if (frames.size() < 6) GTEST_SKIP() << "archive too small to lose 4 emblems";
+  const std::vector<media::Image> data_scans(frames.begin() + 4,
+                                             frames.end());
+  filmstore::VectorSource data_source(data_scans);
+  auto system_source = store.OpenFrames(StreamId::kSystem);
+  auto restored = RestoreNativeStreaming(data_source, system_source.get(),
+                                         summary.value().emblem_options);
   EXPECT_FALSE(restored.ok());
 }
 

@@ -130,11 +130,10 @@ TEST(FrameStoreTest, FunctionAdaptersMatchCallbacks) {
   ExpectSameFrames(collected, data.frames);
 
   size_t i = 0;
-  FunctionSource source =
-      FunctionSource::FromInfallible([&]() -> std::optional<media::Image> {
-        if (i >= collected.size()) return std::nullopt;
-        return collected[i++];
-      });
+  FunctionSource source([&]() -> Result<std::optional<media::Image>> {
+    if (i >= collected.size()) return std::optional<media::Image>();
+    return std::optional<media::Image>(collected[i++]);
+  });
   ExpectSameFrames(Drain(source), data.frames);
 }
 

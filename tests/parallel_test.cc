@@ -454,40 +454,11 @@ TEST(BoundedChannelTest, BlockingHandoffAcrossThreads) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(received[static_cast<size_t>(i)], i);
 }
 
-// ---------------- ParallelTasks ----------------
-
-TEST(ParallelTasksTest, RunsAllTasksAndReportsFirstError) {
-  std::atomic<int> ran(0);
-  std::vector<std::function<Status()>> tasks;
-  tasks.emplace_back([&] { ran.fetch_add(1); return Status::OK(); });
-  tasks.emplace_back([&]() -> Status {
-    ran.fetch_add(1);
-    return Status::NotFound("task 1 failed");
-  });
-  tasks.emplace_back([&] { ran.fetch_add(1); return Status::OK(); });
-  Status s = ParallelTasks(tasks, 2);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  EXPECT_GE(ran.load(), 2);  // the failing task and at least one other
-}
-
-TEST(ParallelTasksTest, EmptyVectorIsOk) {
-  EXPECT_TRUE(ParallelTasks({}, 4).ok());
-}
-
-TEST(ThreadCountTest, SplitDividesBudget) {
-  EXPECT_EQ(SplitThreads(8, 2), 4);
-  EXPECT_EQ(SplitThreads(8, 3), 2);
-  EXPECT_EQ(SplitThreads(1, 2), 1);   // never below one
-  EXPECT_EQ(SplitThreads(4, 0), 4);   // degenerate branch count
-  EXPECT_GE(SplitThreads(0, 2), 1);   // automatic budget resolves first
-}
-
 // ---------------- core-level parallel paths (fast TSan coverage) --------
 // These live in the fast suite deliberately: the CI ThreadSanitizer job
 // only runs `-L fast`, and the heavyweight end-to-end suites are the only
-// other callers of the core fan-out (ParallelTasks in ArchiveDump /
-// RestoreNative, per-thread VeRisc machines from pool workers).
+// other callers of the core fan-out (the streaming archive/restore
+// pipeline on pool workers, per-thread VeRisc machines).
 
 TEST(CoreParallelSmokeTest, ArchiveAndRestoreNativeUnderFanOut) {
   const std::string dump = "CREATE TABLE t (\n    a bigint\n);\n"
@@ -495,18 +466,20 @@ TEST(CoreParallelSmokeTest, ArchiveAndRestoreNativeUnderFanOut) {
   core::ArchiveOptions opt;
   opt.emblem.data_side = 65;  // small emblems: fast, several frames
   opt.emblem.threads = 4;
-  auto archive = core::ArchiveDump(dump, opt);
-  ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+  filmstore::MemoryStore store;
+  auto summary = core::ArchiveDumpStreaming(dump, opt, store);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  auto data = store.OpenFrames(mocoder::StreamId::kData);
+  auto system = store.OpenFrames(mocoder::StreamId::kSystem);
   core::RestoreStats stats;
   auto restored =
-      core::RestoreNative(archive.value().data_images,
-                          archive.value().system_images, opt.emblem, &stats);
+      core::RestoreNativeStreaming(*data, system.get(), opt.emblem, &stats);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), dump);
 }
 
 TEST(CoreParallelSmokeTest, NestedEmulationFromPoolWorkers) {
-  // The shape of DecodeStreamEmulated's fan-out: concurrent RunNested
+  // The shape of the emulated restore's fan-out: concurrent RunNested
   // calls on pool workers, each using its own per-thread VeRisc machine.
   auto guest = dynarisc::Assemble(
       "loop: SYS #0\nJC done\nSYS #1\nJUMP loop\ndone: SYS #2");

@@ -25,7 +25,7 @@ namespace testutil {
 // headers, so unit suites don't pay for them.
 
 /// SQL dump of a deterministically generated miniature TPC-H database.
-/// The default scale keeps ArchiveDump + RestoreNative in the hundreds of
+/// The default scale keeps an archive + native restore in the hundreds of
 /// milliseconds.
 inline std::string SmallTpchDump(double scale_factor = 0.0002) {
   tpch::Options opt;
