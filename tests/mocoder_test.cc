@@ -15,6 +15,18 @@
 #include "support/random.h"
 
 namespace ule {
+namespace media {
+
+// Value-parameterized test names end in the printed GetParam(). gtest's
+// default for a struct is a byte dump, which for a profile holds the
+// address inside its std::string and so changes from run to run; print the
+// profile by name instead.
+static void PrintTo(const MediaProfile& p, std::ostream* os) {
+  *os << p.name;
+}
+
+}  // namespace media
+
 namespace mocoder {
 namespace {
 
@@ -259,6 +271,10 @@ struct ScanCase {
   double noise;
   double dust;
 };
+
+// Print by name, not as gtest's byte dump of the `name` pointer (see
+// media::PrintTo above).
+void PrintTo(const ScanCase& c, std::ostream* os) { *os << c.name; }
 
 class DetectUnderDistortion : public ::testing::TestWithParam<ScanCase> {};
 
