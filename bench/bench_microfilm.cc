@@ -467,8 +467,12 @@ int main() {
              static_cast<double>(big_payload.size()));
   report.AddGauge("stream_frame_bytes", static_cast<double>(st.frame_bytes),
                   "bytes");
-  report.AddGauge("stream_window_frames",
-                  static_cast<double>(st.peak_window_frames), "frames");
+  // Per worker: the window scales with the thread count, so the whole
+  // window would compare a 16-thread runner against a 1-core baseline.
+  report.AddGauge("stream_window_frames_per_worker",
+                  static_cast<double>(st.peak_window_frames) /
+                      ResolveThreadCount(0),
+                  "frames");
   report.AddGauge("peak_rss_after_streaming",
                   static_cast<double>(rss_after_streaming), "bytes");
 

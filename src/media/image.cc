@@ -1,8 +1,9 @@
 #include "media/image.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
-#include <cmath>
+#include <cstring>
 
 #include "support/io.h"
 
@@ -16,14 +17,30 @@ uint8_t Image::at_clamped(int x, int y) const {
 }
 
 double Image::Sample(double x, double y) const {
-  const int x0 = static_cast<int>(std::floor(x));
-  const int y0 = static_cast<int>(std::floor(y));
+  // floor() as truncate-and-adjust: the same value as std::floor for every
+  // coordinate whose floor fits an int, without a libm call.
+  int x0 = static_cast<int>(x);
+  int y0 = static_cast<int>(y);
+  if (x0 > x) --x0;
+  if (y0 > y) --y0;
   const double fx = x - x0;
   const double fy = y - y0;
-  const double a = at_clamped(x0, y0);
-  const double b = at_clamped(x0 + 1, y0);
-  const double c = at_clamped(x0, y0 + 1);
-  const double d = at_clamped(x0 + 1, y0 + 1);
+  double a, b, c, d;
+  if (x0 >= 0 && y0 >= 0 && x0 < width_ - 1 && y0 < height_ - 1) {
+    // Interior: the 2x2 neighbourhood read through two row pointers.
+    const uint8_t* row0 =
+        pixels_.data() + static_cast<size_t>(y0) * width_ + x0;
+    const uint8_t* row1 = row0 + width_;
+    a = row0[0];
+    b = row0[1];
+    c = row1[0];
+    d = row1[1];
+  } else {
+    a = at_clamped(x0, y0);
+    b = at_clamped(x0 + 1, y0);
+    c = at_clamped(x0, y0 + 1);
+    d = at_clamped(x0 + 1, y0 + 1);
+  }
   return a * (1 - fx) * (1 - fy) + b * fx * (1 - fy) + c * (1 - fx) * fy +
          d * fx * fy;
 }
@@ -134,12 +151,29 @@ Result<Image> Image::FromPbm(BytesView data) {
   const int row_bytes = (w + 7) / 8;
   const size_t need = static_cast<size_t>(row_bytes) * h;
   if (data.size() - pos < need) return Status::Corruption("truncated PBM");
+  // One table lookup per input byte: its eight pixels, most significant bit
+  // first, 1 = black. A row's last byte contributes only its leading w % 8
+  // pixels; the padding bits after them are ignored, whatever they hold.
+  static const std::array<std::array<uint8_t, 8>, 256> kExpand = [] {
+    std::array<std::array<uint8_t, 8>, 256> table{};
+    for (int byte = 0; byte < 256; ++byte) {
+      for (int i = 0; i < 8; ++i) {
+        table[byte][i] = ((byte >> (7 - i)) & 1) ? 0 : 255;
+      }
+    }
+    return table;
+  }();
   Image img(w, h);
+  const int full_bytes = w / 8;
+  const int tail_pixels = w % 8;
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const uint8_t byte = data[pos + static_cast<size_t>(y) * row_bytes + x / 8];
-      const bool black = (byte >> (7 - (x % 8))) & 1;
-      img.set(x, y, black ? 0 : 255);
+    const uint8_t* src = data.data() + pos + static_cast<size_t>(y) * row_bytes;
+    uint8_t* dst = img.pixels_.data() + static_cast<size_t>(y) * w;
+    for (int b = 0; b < full_bytes; ++b, dst += 8) {
+      std::memcpy(dst, kExpand[src[b]].data(), 8);
+    }
+    if (tail_pixels > 0) {
+      std::memcpy(dst, kExpand[src[full_bytes]].data(), tail_pixels);
     }
   }
   return img;

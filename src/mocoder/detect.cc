@@ -18,9 +18,23 @@ struct Point {
 
 /// Otsu's threshold over the full image histogram.
 uint8_t OtsuThreshold(const media::Image& img) {
+  // Four interleaved sub-histograms, summed: a scan is mostly long runs of
+  // one level, which would otherwise serialise on a single counter.
+  const std::vector<uint8_t>& px = img.pixels();
+  std::array<std::array<uint64_t, 256>, 4> sub{};
+  size_t i = 0;
+  for (; i + 4 <= px.size(); i += 4) {
+    ++sub[0][px[i]];
+    ++sub[1][px[i + 1]];
+    ++sub[2][px[i + 2]];
+    ++sub[3][px[i + 3]];
+  }
+  for (; i < px.size(); ++i) ++sub[0][px[i]];
   std::array<uint64_t, 256> hist{};
-  for (uint8_t p : img.pixels()) ++hist[p];
-  const uint64_t total = img.pixels().size();
+  for (int v = 0; v < 256; ++v) {
+    hist[v] = sub[0][v] + sub[1][v] + sub[2][v] + sub[3][v];
+  }
+  const uint64_t total = px.size();
   uint64_t sum_all = 0;
   for (int i = 0; i < 256; ++i) sum_all += static_cast<uint64_t>(i) * hist[i];
   uint64_t w0 = 0, sum0 = 0;
@@ -51,6 +65,84 @@ bool SolidBlack(const media::Image& img, int x, int y, uint8_t t) {
   if (img.at(x, y) >= t) return false;
   return img.at_clamped(x - 1, y) < t && img.at_clamped(x + 1, y) < t &&
          img.at_clamped(x, y - 1) < t && img.at_clamped(x, y + 1) < t;
+}
+
+/// The first x in [begin, end) of row y holding a solid-black pixel, or
+/// `end` when there is none.
+int FirstSolidInRow(const media::Image& img, int y, int begin, int end,
+                    uint8_t t) {
+  for (int x = begin; x < end; ++x) {
+    if (SolidBlack(img, x, y, t)) return x;
+  }
+  return end;
+}
+
+/// The last x in (begin, end) of row y holding a solid-black pixel, or
+/// `begin` when there is none.
+int LastSolidInRow(const media::Image& img, int y, int begin, int end,
+                   uint8_t t) {
+  for (int x = end - 1; x > begin; --x) {
+    if (SolidBlack(img, x, y, t)) return x;
+  }
+  return begin;
+}
+
+/// Corners of the border square in scan pixels.
+struct Frame {
+  Point tl, tr, bl, br;
+};
+
+/// Lattice points (cell units on the full grid), held as fractions u, v
+/// of the grid side. The arrays are padded to an even length with a copy of
+/// the last point, so MapToScan can run over whole pairs.
+struct Lattice {
+  std::vector<double> u, v;
+  size_t count = 0;  ///< real points; u.size() may be one more
+
+  void Add(double cell_x, double cell_y, int grid_side) {
+    u.resize(count);
+    v.resize(count);
+    u.push_back(cell_x / grid_side);
+    v.push_back(cell_y / grid_side);
+    if (++count % 2 != 0) {
+      u.push_back(u.back());
+      v.push_back(v.back());
+    }
+  }
+};
+
+/// Maps `points` to scan pixels for lens coefficient k: bilinear placement
+/// between the (undistorted) corners `f`, then the forward distortion about
+/// the centre (cxc, cyc). Each point's arithmetic is one fixed sequence of
+/// IEEE operations, so a point maps to the same bits alone or in a batch,
+/// vectorised or not (tests/detect_diff_test.cc holds the detector to
+/// that). The batch exists so the compiler can map two points per SSE2
+/// instruction: the loop covers whole pairs (an even trip count) through
+/// restrict-qualified arrays because GCC's -O2 vectoriser takes no loop
+/// that needs a scalar remainder or an aliasing check.
+void MapToScan(const Frame& f, double cxc, double cyc, double norm, double k,
+               const double* __restrict pu, const double* __restrict pv,
+               size_t pairs, double* __restrict sx, double* __restrict sy) {
+  const double norm2 = norm * norm;
+  for (size_t i = 0; i < 2 * pairs; ++i) {
+    const double u = pu[i];
+    const double v = pv[i];
+    const double ux = f.tl.x * (1 - u) * (1 - v) + f.tr.x * u * (1 - v) +
+                      f.bl.x * (1 - u) * v + f.br.x * u * v;
+    const double uy = f.tl.y * (1 - u) * (1 - v) + f.tr.y * u * (1 - v) +
+                      f.bl.y * (1 - u) * v + f.br.y * u * v;
+    // Forward distortion: fixed-point of r_d * (1 + k r̂_d²) = r_u.
+    double dx = ux - cxc;
+    double dy = uy - cyc;
+    for (int it = 0; it < 3; ++it) {
+      const double r2 = (dx * dx + dy * dy) / norm2;
+      const double f2 = 1 + k * r2;
+      dx = (ux - cxc) / f2;
+      dy = (uy - cyc) / f2;
+    }
+    sx[i] = cxc + dx;
+    sy[i] = cyc + dy;
+  }
 }
 
 /// Least-squares line fit y = a + b*x over (xs, ys).
@@ -90,16 +182,17 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
   const int w = scan.width();
   const int h = scan.height();
 
-  // 1. Bounding box of solid black pixels = outer border square.
-  int x0 = w, x1 = -1, y0 = h, y1 = -1;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (SolidBlack(scan, x, y, t)) {
-        x0 = std::min(x0, x);
-        x1 = std::max(x1, x);
-        y0 = std::min(y0, y);
-        y1 = std::max(y1, y);
-      }
+  // 1. Bounding box of solid black pixels = outer border square. Rows are
+  // scanned inward from the top and bottom to the first one holding a solid
+  // pixel; every solid pixel then lies in [y0, y1], and each of those rows
+  // is searched only outside the columns already known to be inside the box.
+  int x0 = w, x1 = -1, y0 = 0, y1 = h - 1;
+  while (y0 < h && FirstSolidInRow(scan, y0, 0, w, t) == w) ++y0;
+  if (y0 < h) {
+    while (FirstSolidInRow(scan, y1, 0, w, t) == w) --y1;
+    for (int y = y0; y <= y1; ++y) {
+      x0 = FirstSolidInRow(scan, y, 0, x0, t);
+      x1 = LastSolidInRow(scan, y, x1, w, t);
     }
   }
   if (x1 < 0 || x1 - x0 < 8 || y1 - y0 < 8) {
@@ -181,6 +274,18 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
                                 (bl.y - tl.y) * (bl.y - tl.y)) /
                       std::sqrt(2.0);
 
+  // A degenerate border (e.g. two parallel fitted edges) leaves no frame to
+  // lay the lattice in; refuse it before any coordinate reaches an int.
+  for (const Point& p : {tl, tr, bl, br}) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || p.x < -w ||
+        p.x > 2.0 * w || p.y < -h || p.y > 2.0 * h) {
+      return Status::Corruption("emblem border corners do not fit the scan");
+    }
+  }
+  if (!(norm > 0)) {
+    return Status::Corruption("emblem border has no extent");
+  }
+
   // 3. Lens calibration against a *known pattern*: the border ring is pure
   // black and the gap ring pure white, at the largest radii of the grid —
   // exactly where radial distortion hurts most. For each candidate k,
@@ -196,68 +301,55 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
     const double r2 = (dx * dx + dy * dy) / (norm * norm);
     return Point{cxc + dx * (1 + k * r2), cyc + dy * (1 + k * r2)};
   };
-
-  // Maps a lattice coordinate (cell units on the full grid) to scan pixels
-  // for a given k, via the undistorted corner frame.
-  struct Frame {
-    Point tl, tr, bl, br;
-  };
   auto make_frame = [&](double k) {
     return Frame{undistort(tl, k), undistort(tr, k), undistort(bl, k),
                  undistort(br, k)};
   };
-  auto lattice_to_scan = [&](const Frame& f, double k, double cell_x,
-                             double cell_y) {
-    const double u = cell_x / grid_side;
-    const double v = cell_y / grid_side;
-    const double ux = f.tl.x * (1 - u) * (1 - v) + f.tr.x * u * (1 - v) +
-                      f.bl.x * (1 - u) * v + f.br.x * u * v;
-    const double uy = f.tl.y * (1 - u) * (1 - v) + f.tr.y * u * (1 - v) +
-                      f.bl.y * (1 - u) * v + f.br.y * u * v;
-    // Forward distortion: fixed-point of r_d * (1 + k r̂_d²) = r_u.
-    double dx = ux - cxc;
-    double dy = uy - cyc;
-    for (int it = 0; it < 3; ++it) {
-      const double r2 = (dx * dx + dy * dy) / (norm * norm);
-      const double f2 = 1 + k * r2;
-      dx = (ux - cxc) / f2;
-      dy = (uy - cyc) / f2;
-    }
-    return Point{cxc + dx, cyc + dy};
-  };
 
+  // The points the score samples do not depend on k: lay them out once, in
+  // the order their samples are summed. Term 1 of the score is the contrast
+  // between the ring at cell index 1 (middle of the border, black) and the
+  // inner gap ring (white), all four sides; term 2 is the correlation with
+  // the sync/type row's 2-cell alternation — the sharpest known pattern in
+  // the emblem; |.| makes it type-agnostic. The sync row is the data area's
+  // first row, which step 4 then moves down the grid.
+  Lattice black, white, row;
+  const double b = 1.5;
+  const double g = kFrameCells - 0.5;
+  for (int i = 2; i < grid_side - 2; i += 2) {
+    const double c = i + 0.5;
+    black.Add(c, b, grid_side);
+    black.Add(c, grid_side - b, grid_side);
+    black.Add(b, c, grid_side);
+    black.Add(grid_side - b, c, grid_side);
+    white.Add(c, g, grid_side);
+    white.Add(c, grid_side - g, grid_side);
+    white.Add(g, c, grid_side);
+    white.Add(grid_side - g, c, grid_side);
+  }
+  for (int i = 0; i < n; ++i) {
+    row.Add(i + kFrameCells + 0.5, kFrameCells + 0.5, grid_side);
+  }
+  const int count = static_cast<int>(black.count);
+  std::vector<double> sx, sy;
+  auto map_points = [&](const Frame& f, double k, const Lattice& points) {
+    sx.resize(points.u.size());
+    sy.resize(points.u.size());
+    MapToScan(f, cxc, cyc, norm, k, points.u.data(), points.v.data(),
+              points.u.size() / 2, sx.data(), sy.data());
+  };
   auto calibration_score = [&](double k) {
     const Frame f = make_frame(k);
-    // Term 1: contrast between the ring at cell index 1 (middle of the
-    // border, black) and the inner gap ring (white), all four sides.
     double black_sum = 0, white_sum = 0;
-    int count = 0;
-    const double b = 1.5;
-    const double g = kFrameCells - 0.5;
-    for (int i = 2; i < grid_side - 2; i += 2) {
-      const double c = i + 0.5;
-      for (const auto& [px, py] :
-           {std::pair<double, double>{c, b}, {c, grid_side - b},
-            {b, c}, {grid_side - b, c}}) {
-        const Point sp = lattice_to_scan(f, k, px, py);
-        black_sum += scan.Sample(sp.x, sp.y);
-        ++count;
-      }
-      for (const auto& [px, py] :
-           {std::pair<double, double>{c, g}, {c, grid_side - g},
-            {g, c}, {grid_side - g, c}}) {
-        const Point sp = lattice_to_scan(f, k, px, py);
-        white_sum += scan.Sample(sp.x, sp.y);
-      }
-    }
+    map_points(f, k, black);
+    for (int i = 0; i < count; ++i) black_sum += scan.Sample(sx[i], sy[i]);
+    map_points(f, k, white);
+    for (int i = 0; i < count; ++i) white_sum += scan.Sample(sx[i], sy[i]);
     const double ring = (white_sum - black_sum) / std::max(count, 1);
-    // Term 2: correlation with the sync/type row's 2-cell alternation —
-    // the sharpest known pattern in the emblem; |.| makes it type-agnostic.
     double sync = 0;
+    map_points(f, k, row);
     for (int i = 0; i < n; ++i) {
-      const Point sp = lattice_to_scan(f, k, i + kFrameCells + 0.5,
-                                       kFrameCells + 0.5);
-      const double v = scan.Sample(sp.x, sp.y);
+      const double v = scan.Sample(sx[i], sy[i]);
       sync += (((i / 2) % 2) == 0) ? -v : v;
     }
     return ring + 2.0 * std::abs(sync) / n;
@@ -285,15 +377,18 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
     }
   }
 
-  // 4. Sample the data-area lattice with the calibrated frame.
+  // 4. Sample the data-area lattice with the calibrated frame, one row of
+  // cells at a time.
   const Frame frame = make_frame(best_k);
   Bytes out(static_cast<size_t>(n) * n);
   for (int j = 0; j < n; ++j) {
+    std::fill(row.v.begin(), row.v.end(),
+              (j + kFrameCells + 0.5) / grid_side);
+    map_points(frame, best_k, row);
+    uint8_t* dst = out.data() + static_cast<size_t>(j) * n;
     for (int i = 0; i < n; ++i) {
-      const Point sp = lattice_to_scan(frame, best_k, i + kFrameCells + 0.5,
-                                       j + kFrameCells + 0.5);
-      out[static_cast<size_t>(j) * n + i] =
-          static_cast<uint8_t>(std::clamp(scan.Sample(sp.x, sp.y), 0.0, 255.0));
+      dst[i] = static_cast<uint8_t>(
+          std::clamp(scan.Sample(sx[i], sy[i]), 0.0, 255.0));
     }
   }
   const Point utl = frame.tl;

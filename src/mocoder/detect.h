@@ -9,6 +9,15 @@
 /// (microfilm scanner lenses "change straight lines into curves, usually
 /// near the edge of the field of view", §3.1). Cell centres are then
 /// sampled bilinearly.
+///
+/// The output is pinned: tests/detect_diff_test.cc requires the sampled
+/// grid, every DetectInfo double and the ok/error status to match a frozen
+/// copy of the original detector (tests/detect_reference.h) bit for bit on
+/// rendered, distorted, per-media-profile and degenerate frames. Speed-ups
+/// here must keep every floating-point expression and its evaluation order.
+/// The lens sweep tries all 98 candidate k values on purpose: a
+/// coarse-to-fine search would pick a different k on some frames and so
+/// change their grids.
 
 #ifndef ULE_MOCODER_DETECT_H_
 #define ULE_MOCODER_DETECT_H_

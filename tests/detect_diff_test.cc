@@ -1,0 +1,181 @@
+// Differential suite for the emblem detector: mocoder::SampleEmblem must
+// reproduce the reference detector in detect_reference.h bit for bit —
+// the same sampled grid bytes, the same DetectInfo doubles (compared as
+// bit patterns) and the same ok/error status — on rendered frames, scans
+// under each distortion, one scan per media profile, and degenerate
+// images. The detector's output feeds the inner RS decode and the archived
+// MODecode, so a restore must not depend on which build sampled the frame.
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "media/profiles.h"
+#include "media/scanner.h"
+#include "mocoder/detect.h"
+#include "mocoder/emblem.h"
+#include "support/crc32.h"
+#include "support/random.h"
+#include "tests/detect_reference.h"
+
+namespace ule {
+namespace mocoder {
+namespace {
+
+struct Frame {
+  std::string name;
+  media::Image image;
+  int data_side = 0;
+};
+
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// One emblem of random payload, rendered at `dots_per_cell`.
+media::Image RenderRandomEmblem(int data_side, int dots_per_cell,
+                                int quiet_cells, StreamId stream,
+                                uint64_t seed) {
+  Rng rng(seed);
+  const Bytes payload =
+      RandomBytes(&rng, static_cast<size_t>(EmblemCapacity(data_side)));
+  EmblemHeader h;
+  h.stream = stream;
+  h.seq = static_cast<uint16_t>(seed);
+  h.total = 1;
+  h.stream_len = static_cast<uint32_t>(payload.size());
+  h.payload_crc = Crc32(payload);
+  auto grid = BuildEmblem(h, payload, data_side);
+  EXPECT_TRUE(grid.ok()) << grid.status().ToString();
+  return RenderEmblem(grid.value(), dots_per_cell, quiet_cells);
+}
+
+// Compares the library detector with the reference on one frame; returns
+// whether the reference found an emblem in it.
+bool ExpectSameAsReference(const Frame& f) {
+  SCOPED_TRACE(f.name);
+  DetectInfo got_info, want_info;
+  auto got = SampleEmblem(f.image, f.data_side, &got_info);
+  auto want = detect_reference::SampleEmblem(f.image, f.data_side, &want_info);
+  EXPECT_EQ(got.ok(), want.ok())
+      << "library: " << got.status().ToString()
+      << ", reference: " << want.status().ToString();
+  if (!got.ok() || !want.ok()) return want.ok();
+  EXPECT_TRUE(got.value() == want.value()) << "sampled grids differ";
+  EXPECT_EQ(Bits(got_info.rotation_deg), Bits(want_info.rotation_deg));
+  EXPECT_EQ(Bits(got_info.cell_pitch), Bits(want_info.cell_pitch));
+  EXPECT_EQ(Bits(got_info.lens_k), Bits(want_info.lens_k));
+  return true;
+}
+
+TEST(DetectDiffTest, RenderedFrames) {
+  for (int data_side : {65, 128}) {
+    for (int dots : {3, 4}) {
+      EXPECT_TRUE(ExpectSameAsReference(
+          {"rendered n" + std::to_string(data_side) + " dpc" +
+               std::to_string(dots),
+           RenderRandomEmblem(data_side, dots, 2, StreamId::kData,
+                              static_cast<uint64_t>(data_side * 10 + dots)),
+           data_side}));
+    }
+  }
+  // Border on the image edge: clamped reads in every detector stage.
+  EXPECT_TRUE(ExpectSameAsReference(
+      {"rendered quiet_cells 0",
+       RenderRandomEmblem(65, 4, 0, StreamId::kSystem, 5), 65}));
+}
+
+TEST(DetectDiffTest, DistortedScans) {
+  // The DetectUnderDistortion cases of mocoder_test.
+  struct Case {
+    const char* name;
+    double rotation, barrel, jitter, blur, noise, dust;
+  };
+  const Case cases[] = {{"clean", 0, 0, 0, 0, 0, 0},
+                        {"rotated", 1.0, 0, 0, 0.3, 3, 0},
+                        {"lens", 0.2, 0.004, 0, 0.3, 3, 0},
+                        {"jitter", 0.2, 0, 0.5, 0.3, 3, 0},
+                        {"noisy", 0.3, 0.001, 0.3, 0.8, 10, 2},
+                        {"dusty", 0.2, 0.001, 0.2, 0.5, 5, 20}};
+  const media::Image printed =
+      RenderRandomEmblem(80, 5, 2, StreamId::kData, 8);
+  for (const Case& c : cases) {
+    media::ScanProfile sp;
+    sp.rotation_deg = c.rotation;
+    sp.barrel_k1 = c.barrel;
+    sp.jitter_amplitude = c.jitter;
+    sp.blur_sigma = c.blur;
+    sp.noise_sigma = c.noise;
+    sp.dust_per_megapixel = c.dust;
+    sp.seed = 77;
+    EXPECT_TRUE(ExpectSameAsReference({c.name, media::Scan(printed, sp), 80}));
+  }
+}
+
+// A rendered emblem printed and scanned with `profile`'s writer and scanner.
+media::Image PrintAndScan(const media::MediaProfile& profile, int data_side,
+                          StreamId stream, uint64_t seed) {
+  media::Image printed = RenderRandomEmblem(
+      data_side, profile.dots_per_cell, 2, stream, seed);
+  if (profile.bitonal_write) {
+    for (auto& px : printed.mutable_pixels()) px = px < 128 ? 0 : 255;
+  }
+  return media::Scan(printed, profile.scan);
+}
+
+TEST(DetectDiffTest, MediaProfileScans) {
+  // One small emblem through each profile's writer and scanner, as in
+  // mocoder_test's MediaProfileRoundTrip.
+  for (const media::MediaProfile& profile : media::AllProfiles()) {
+    EXPECT_TRUE(ExpectSameAsReference(
+        {profile.name + " n80", PrintAndScan(profile, 80, StreamId::kData, 12),
+         80}));
+  }
+  // Two full 16 mm microfilm frames (the emblem fills the frame; 4972x4972
+  // bitonal scans with the reader's lens curvature), one per stream.
+  const media::MediaProfile film = media::Microfilm16mm();
+  const int quiet = 2;
+  const int data_side = std::min(film.frame_width, film.frame_height) /
+                            film.dots_per_cell -
+                        2 * kFrameCells - 2 * quiet;
+  for (StreamId stream : {StreamId::kData, StreamId::kSystem}) {
+    EXPECT_TRUE(ExpectSameAsReference(
+        {"microfilm full frame " + std::to_string(static_cast<int>(stream)),
+         PrintAndScan(film, data_side, stream, 21), data_side}));
+  }
+}
+
+TEST(DetectDiffTest, DegenerateImages) {
+  // No emblem in any of these: both detectors must fail the same way.
+  auto no_emblem = [](const char* name, const media::Image& image) {
+    EXPECT_FALSE(ExpectSameAsReference({name, image, 65}));
+  };
+  no_emblem("blank", media::Image(200, 200, 255));
+  no_emblem("1x1 white", media::Image(1, 1, 255));
+  no_emblem("1x1 black", media::Image(1, 1, 0));
+  no_emblem("3x3 black", media::Image(3, 3, 0));
+  media::Image dot(3, 3, 255);
+  dot.set(1, 1, 0);
+  no_emblem("3x3 dot", dot);
+  // A checkerboard is half black, but no black pixel has four black
+  // neighbours, so there is no solid pixel anywhere.
+  media::Image checker(64, 48, 255);
+  for (int y = 0; y < checker.height(); ++y) {
+    for (int x = 0; x < checker.width(); ++x) {
+      if ((x + y) % 2 == 0) checker.set(x, y, 0);
+    }
+  }
+  no_emblem("checkerboard", checker);
+  // A small solid square: solid pixels, but too small for a border.
+  media::Image speck(100, 100, 255);
+  speck.FillRect(40, 40, 6, 6, 0);
+  no_emblem("speck", speck);
+}
+
+}  // namespace
+}  // namespace mocoder
+}  // namespace ule

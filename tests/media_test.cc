@@ -67,6 +67,42 @@ TEST(ImageTest, PbmRoundTripBitonal) {
   EXPECT_EQ(back.value().pixels(), img.pixels());  // already bitonal
 }
 
+TEST(ImageTest, PbmRoundTripAtOddWidths) {
+  // Widths around the byte boundary: a lone tail bit, a 7-bit tail, whole
+  // bytes only, and one or five pixels into the next byte.
+  for (int w : {1, 7, 8, 9, 13}) {
+    Image img(w, 5, 255);
+    for (int y = 0; y < img.height(); ++y) {
+      for (int x = 0; x < w; ++x) {
+        if ((x * 3 + y * 5) % 7 < 3) img.set(x, y, 0);
+      }
+    }
+    auto back = Image::FromPbm(img.ToPbm());
+    ASSERT_TRUE(back.ok()) << "width " << w;
+    EXPECT_EQ(back.value().width(), w);
+    EXPECT_EQ(back.value().pixels(), img.pixels()) << "width " << w;
+  }
+}
+
+TEST(ImageTest, PbmIgnoresRowPaddingBits) {
+  // Width 13 leaves 3 padding bits per row; set them all to 1 (black).
+  Bytes pbm = ToBytes("P4\n13 2\n");
+  const size_t header = pbm.size();
+  pbm.insert(pbm.end(), {0x80, 0x07, 0x00, 0x0F});
+  auto img = Image::FromPbm(pbm);
+  ASSERT_TRUE(img.ok()) << img.status().ToString();
+  ASSERT_EQ(img.value().width(), 13);
+  for (int x = 0; x < 13; ++x) {
+    EXPECT_EQ(img.value().at(x, 0), x == 0 ? 0 : 255) << "row 0, x " << x;
+    EXPECT_EQ(img.value().at(x, 1), x >= 12 ? 0 : 255) << "row 1, x " << x;
+  }
+  // Re-encoding clears the padding again.
+  Bytes expected = pbm;
+  expected[header + 1] = 0x00;
+  expected[header + 3] = 0x08;
+  EXPECT_EQ(img.value().ToPbm(), expected);
+}
+
 TEST(ImageTest, PbmThresholdsGray) {
   Image img(3, 1);
   img.set(0, 0, 10);

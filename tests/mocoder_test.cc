@@ -322,6 +322,24 @@ TEST(DetectTest, FailsWithoutEmblem) {
   EXPECT_FALSE(SampleEmblem(blank, 65).ok());
 }
 
+TEST(DetectTest, DegenerateBorderIsCorruption) {
+  // A thick diagonal bar: its bounding box passes for a border, but the
+  // fitted top and left edges are the same line (slope 1), so their corner
+  // is a division by zero. That must be refused, not turned into NaN
+  // geometry and NaN-to-int casts.
+  media::Image img(200, 200, 255);
+  for (int y = 20; y <= 180; ++y) {
+    for (int x = 20; x <= 180; ++x) {
+      if (std::abs(y - x) < 10) img.set(x, y, 0);
+    }
+  }
+  DetectInfo info;
+  auto cells = SampleEmblem(img, 65, &info);
+  ASSERT_FALSE(cells.ok());
+  EXPECT_EQ(cells.status().code(), StatusCode::kCorruption)
+      << cells.status().ToString();
+}
+
 // ---------------- outer code ----------------
 
 TEST(OuterTest, EmblemCounts) {

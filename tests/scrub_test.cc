@@ -91,6 +91,11 @@ struct FaultCase {
   ArchiveState repaired;    ///< scrub verdict with repair
 };
 
+// Value-parameterized test names end in the printed GetParam(); print the
+// case by name, not as gtest's byte dump of the `name` pointer, which moves
+// from run to run.
+void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
+
 constexpr FaultCase kFaultCases[] = {
     {"none", FaultKind::kNone, ArchiveState::kHealthy, ArchiveState::kHealthy},
     {"delete_one", FaultKind::kDeleteOne, ArchiveState::kRepairable,
