@@ -112,8 +112,7 @@ Result<Bytes> DecodeSourceStream(filmstore::FrameSource& source,
                                  const mocoder::Options& emblem_options,
                                  mocoder::GridDecodeFn decode,
                                  bool count_unsampled, bool skip_if_empty,
-                                 mocoder::DecodeStats* stats,
-                                 uint64_t* steps = nullptr) {
+                                 mocoder::DecodeStats* stats) {
   mocoder::StreamDecoder decoder(id, emblem_options, std::move(decode),
                                  count_unsampled);
   size_t pushed = 0;
@@ -124,7 +123,7 @@ Result<Bytes> DecodeSourceStream(filmstore::FrameSource& source,
     ULE_RETURN_IF_ERROR(decoder.Push(std::move(*frame)));
   }
   if (skip_if_empty && pushed == 0) return Bytes();
-  return decoder.Finish(stats, steps);
+  return decoder.Finish(stats);
 }
 
 /// Runs a DynaRisc program under nested emulation via the *parsed
@@ -267,26 +266,25 @@ Result<std::string> RestoreEmulatedStreaming(
   // fan out across pool workers, each reusing its thread-local VeRisc
   // machine. Every scan counts into emblems_total (unlike the native
   // path): the historian's stats are about the reel, not about what
-  // sampled cleanly. Step counters are per stream and summed afterwards,
-  // keeping the aggregate deterministic.
+  // sampled cleanly. Step counters are per stream (DecodeStats::steps)
+  // and summed afterwards, keeping the aggregate deterministic.
   const mocoder::GridDecodeFn nested_decode = MakeNestedGridDecode(
       bootstrap.dynarisc_emulator, bootstrap.mocoder,
       emblem_options.data_side, vm);
-  uint64_t system_steps = 0;
-  uint64_t data_steps = 0;
   ULE_ASSIGN_OR_RETURN(
       Bytes dbdecode_stream,
       DecodeSourceStream(system_frames, mocoder::StreamId::kSystem,
                          emblem_options, nested_decode,
                          /*count_unsampled=*/true, /*skip_if_empty=*/false,
-                         &local.system_stream, &system_steps));
+                         &local.system_stream));
   ULE_ASSIGN_OR_RETURN(
       Bytes container,
       DecodeSourceStream(data_frames, mocoder::StreamId::kData,
                          emblem_options, nested_decode,
                          /*count_unsampled=*/true, /*skip_if_empty=*/false,
-                         &local.data_stream, &data_steps));
-  local.emulated_steps += system_steps + data_steps;
+                         &local.data_stream));
+  local.emulated_steps =
+      local.system_stream.steps + local.data_stream.steps;
 
   // Step 5 (tail): the recovered DBDecode decompresses the data stream.
   ULE_ASSIGN_OR_RETURN(dynarisc::Program dbdecode,

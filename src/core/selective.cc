@@ -14,6 +14,9 @@ namespace core {
 
 namespace {
 
+/// Budget of the decoded-payload LRU cache in bytes.
+constexpr size_t kCacheBytes = 32u << 20;
+
 std::string_view Trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
     s.remove_prefix(1);
@@ -203,10 +206,8 @@ Result<SelectiveRestorer> SelectiveRestorer::Open(
   r.capacity_ = capacity;
   // Group recovery caches a whole group's data payloads at once; a budget
   // below that would evict its own results mid-recovery.
-  r.options_.cache_bytes =
-      std::max(r.options_.cache_bytes,
-               static_cast<size_t>(mocoder::kGroupSize) * capacity * 2);
-  r.cache_.emplace(r.options_.cache_bytes);
+  r.cache_.emplace(std::max(
+      kCacheBytes, static_cast<size_t>(mocoder::kGroupSize) * capacity * 2));
   return r;
 }
 

@@ -11,9 +11,9 @@
 ///   (filmstore::SeekableSource)
 ///
 /// Only the touched frame records are read and only the touched emblems
-/// are decoded; a decoded-payload LRU cache (bounded by
-/// `SelectiveOptions::cache_bytes`) keeps chunk overlaps and group
-/// recovery from re-reading. An emblem whose inner decode fails falls
+/// are decoded; a decoded-payload LRU cache (32 MiB, and never less than
+/// twice one group's payloads) keeps chunk overlaps and group recovery
+/// from re-reading. An emblem whose inner decode fails falls
 /// back to fetching its whole group (including parity frames) and
 /// erasure-decoding it, exactly like the streaming path.
 ///
@@ -56,8 +56,6 @@ struct SelectiveOptions {
   /// Worker threads for the fan-out over needed frame records (0 =
   /// automatic, same convention as the rest of the pipeline).
   int threads = 0;
-  /// Budget of the decoded-payload LRU cache in bytes.
-  size_t cache_bytes = 32u << 20;
 };
 
 /// What one selective restore cost (reader-level reads come from

@@ -109,6 +109,20 @@ std::string RecordContext(size_t index, const ContainerEntry& entry) {
          std::to_string(entry.offset) + ")";
 }
 
+/// Reads, CRC-validates and decodes one frame record from an open stream;
+/// a failed read or CRC names the record by sequence number and offset.
+Result<media::Image> ReadFrameFrom(std::ifstream& in, const std::string& path,
+                                   const ContainerEntry& entry) {
+  auto payload = ReadPayloadFrom(in, path, entry);
+  if (!payload.ok()) {
+    return Status(payload.status().code(),
+                  "frame seq " + std::to_string(entry.seq) +
+                      " (payload offset " + std::to_string(entry.offset) +
+                      "): " + payload.status().message());
+  }
+  return DecodeFramePayload(entry.codec, payload.value());
+}
+
 /// FrameSource over a subset of a sealed container's records. Owns its
 /// file handle (opened lazily) so it can outlive the ContainerReader;
 /// successful record reads report into the reader's counter cell.
@@ -127,16 +141,8 @@ class ContainerSource final : public FrameSource {
       if (!in_) return Status::IoError("cannot open " + path_);
     }
     const ContainerEntry& e = entries_[next_++];
-    auto payload = ReadPayloadFrom(in_, path_, e);
-    if (!payload.ok()) {
-      return Status(payload.status().code(),
-                    "frame seq " + std::to_string(e.seq) +
-                        " (payload offset " + std::to_string(e.offset) +
-                        "): " + payload.status().message());
-    }
+    ULE_ASSIGN_OR_RETURN(media::Image frame, ReadFrameFrom(in_, path_, e));
     if (counters_) counters_->Count(e.payload_len);
-    ULE_ASSIGN_OR_RETURN(media::Image frame,
-                         DecodeFramePayload(e.codec, payload.value()));
     return std::optional<media::Image>(std::move(frame));
   }
 
@@ -614,14 +620,7 @@ Result<media::Image> ReadFrameRecord(const std::string& path,
                                      const ContainerEntry& entry) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
-  auto payload = ReadPayloadFrom(in, path, entry);
-  if (!payload.ok()) {
-    return Status(payload.status().code(),
-                  "frame seq " + std::to_string(entry.seq) +
-                      " (payload offset " + std::to_string(entry.offset) +
-                      "): " + payload.status().message());
-  }
-  return DecodeFramePayload(entry.codec, payload.value());
+  return ReadFrameFrom(in, path, entry);
 }
 
 }  // namespace filmstore

@@ -6,6 +6,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <string>
 
 #include "support/crc32.h"
 #include "support/parallel.h"
@@ -38,6 +39,19 @@ Status EncodeToSink(BytesView stream, StreamId id, const Options& options,
   }
   if (stream.size() > 0xFFFFFFFFull) {
     return Status::InvalidArgument("stream too large for emblem header");
+  }
+  // The header's seq and total are 16-bit (docs/FORMAT.md §3): a stream
+  // whose last group's highest slot does not fit would wrap silently.
+  // total <= highest slot + 1 = 20 × groups, which cannot be 65536, so the
+  // one check covers both fields. No int overflow: the stream is < 4 GiB
+  // and capacity >= 203.
+  const int groups =
+      (DataEmblemCount(stream.size(), capacity) + kGroupData - 1) / kGroupData;
+  if (groups * kGroupSize - 1 > 0xFFFF) {
+    return Status::InvalidArgument(
+        "stream of " + std::to_string(stream.size()) + " bytes needs " +
+        std::to_string(groups * kGroupSize) +
+        " emblem slots; the 16-bit header sequence number holds 65536");
   }
   const auto payloads = BuildGroupPayloads(stream, capacity);
   const int total = TotalEmblemCount(stream.size(), capacity);
@@ -84,33 +98,8 @@ Status EncodeToSink(BytesView stream, StreamId id, const Options& options,
       options.threads, window);
 }
 
-Result<std::vector<EncodedEmblem>> EncodeStream(BytesView stream, StreamId id,
-                                                const Options& options) {
-  std::vector<EncodedEmblem> out;
-  ULE_RETURN_IF_ERROR(EncodeToSink(
-      stream, id, options, /*render=*/false,
-      [&out](EncodedEmblem&& emblem, media::Image&&) -> Status {
-        out.push_back(std::move(emblem));
-        return Status::OK();
-      }));
-  return out;
-}
-
 media::Image Render(const EncodedEmblem& emblem, const Options& options) {
   return RenderEmblem(emblem.grid, options.dots_per_cell, options.quiet_cells);
-}
-
-std::vector<media::Image> RenderAll(const std::vector<EncodedEmblem>& emblems,
-                                    const Options& options) {
-  std::vector<media::Image> images(emblems.size());
-  (void)ParallelFor(
-      0, emblems.size(),
-      [&](size_t i) -> Status {
-        images[i] = Render(emblems[i], options);
-        return Status::OK();
-      },
-      options.threads);
-  return images;
 }
 
 // ---------------------------------------------------------------------------
@@ -157,15 +146,11 @@ struct StreamDecoder::Impl {
   };
   std::deque<Record> records;
 
-  /// One queued unit of work: a scan (owned or borrowed) to sample, or an
-  /// already-sampled grid view.
+  /// One queued scan to sample and decode.
   struct Item {
     size_t index = 0;  ///< push order, for lowest-index exception reporting
     Record* rec = nullptr;
-    media::Image scan_owned;  ///< used when scan_view is null and !is_grid
-    const media::Image* scan_view = nullptr;
-    BytesView grid_view;
-    bool is_grid = false;
+    media::Image scan;
   };
   std::unique_ptr<BoundedChannel<Item>> channel;
   std::mutex mu;
@@ -183,7 +168,7 @@ struct StreamDecoder::Impl {
   /// decoder deadlock-free on a saturated shared pool. Never throws:
   /// pool tasks must not, and a throw on the pushing thread mid-Finish
   /// would let the destructor skip its drain-and-wait while helpers still
-  /// hold borrowed scan views.
+  /// run the caller's decode function.
   void Process(Item& item) {
     try {
       ProcessOrThrow(item);
@@ -197,21 +182,10 @@ struct StreamDecoder::Impl {
   }
 
   void ProcessOrThrow(Item& item) {
-    Bytes sampled_storage;
-    BytesView grid;
-    if (item.is_grid) {
-      item.rec->sampled = true;
-      grid = item.grid_view;
-    } else {
-      const media::Image& scan =
-          item.scan_view != nullptr ? *item.scan_view : item.scan_owned;
-      auto cells = SampleEmblem(scan, options.data_side);
-      if (!cells.ok()) return;  // rec->sampled stays false
-      item.rec->sampled = true;
-      sampled_storage = cells.TakeValue();
-      grid = sampled_storage;
-    }
-    GridDecodeResult r = decode(grid);
+    auto cells = SampleEmblem(item.scan, options.data_side);
+    if (!cells.ok()) return;  // rec->sampled stays false
+    item.rec->sampled = true;
+    GridDecodeResult r = decode(cells.value());
     // The stream-id filter is uniform across decode functions: an emblem
     // of the other stream is a valid decode but not part of this stream.
     if (r.ok && r.header.stream != id) r.ok = false;
@@ -255,10 +229,10 @@ StreamDecoder::StreamDecoder(StreamId id, const Options& options,
 StreamDecoder::~StreamDecoder() {
   if (impl_ == nullptr || impl_->finished || !impl_->parallel) return;
   // Abandoned without Finish (e.g. an exception unwound the caller):
-  // drain and wait exactly like Finish. Helpers may still be decoding
-  // borrowed memory — PushShared scan views, a GridDecodeFn capturing the
-  // caller's frame by reference — so returning before active == 0 would
-  // leave them dereferencing a dead stack frame.
+  // drain and wait exactly like Finish. Helpers may still be running a
+  // GridDecodeFn that captures the caller's frame by reference, so
+  // returning before active == 0 would leave them dereferencing a dead
+  // stack frame.
   impl_->channel->Close();
   while (auto item = impl_->channel->TryPop()) impl_->Process(*item);
   std::unique_lock<std::mutex> lock(impl_->mu);
@@ -266,31 +240,13 @@ StreamDecoder::~StreamDecoder() {
 }
 
 Status StreamDecoder::Push(media::Image scan) {
-  Impl::Item item;
-  item.scan_owned = std::move(scan);
-  return PushItem(&item);
-}
-
-Status StreamDecoder::PushShared(const media::Image& scan) {
-  Impl::Item item;
-  item.scan_view = &scan;
-  return PushItem(&item);
-}
-
-Status StreamDecoder::PushGrid(BytesView grid) {
-  Impl::Item item;
-  item.grid_view = grid;
-  item.is_grid = true;
-  return PushItem(&item);
-}
-
-Status StreamDecoder::PushItem(void* opaque) {
-  Impl::Item& item = *static_cast<Impl::Item*>(opaque);
   Impl& impl = *impl_;
   if (!impl.init.ok()) return impl.init;
   if (impl.finished) {
     return Status::InvalidArgument("StreamDecoder: Push after Finish");
   }
+  Impl::Item item;
+  item.scan = std::move(scan);
   item.index = impl.records.size();
   impl.records.emplace_back();
   item.rec = &impl.records.back();
@@ -315,7 +271,7 @@ Status StreamDecoder::PushItem(void* opaque) {
   return Status::OK();
 }
 
-Result<Bytes> StreamDecoder::Finish(DecodeStats* stats, uint64_t* steps) {
+Result<Bytes> StreamDecoder::Finish(DecodeStats* stats) {
   Impl& impl = *impl_;
   if (!impl.init.ok()) return impl.init;
   if (impl.finished) {
@@ -338,10 +294,9 @@ Result<Bytes> StreamDecoder::Finish(DecodeStats* stats, uint64_t* steps) {
   std::map<uint16_t, Bytes> payloads;
   uint32_t stream_len = 0;
   bool have_len = false;
-  uint64_t total_steps = 0;
   DecodeStats local;
   for (Impl::Record& rec : impl.records) {
-    total_steps += rec.r.steps;
+    local.steps += rec.r.steps;
     if (rec.sampled || impl.count_unsampled) local.emblems_total += 1;
     if (!rec.r.ok) continue;
     local.emblems_decoded += 1;
@@ -350,7 +305,6 @@ Result<Bytes> StreamDecoder::Finish(DecodeStats* stats, uint64_t* steps) {
     have_len = true;
     payloads[rec.r.header.seq] = std::move(rec.r.payload);
   }
-  if (steps) *steps = total_steps;
   if (!have_len) {
     return Status::Corruption("no emblem of the requested stream decoded");
   }
@@ -365,24 +319,6 @@ Result<Bytes> StreamDecoder::Finish(DecodeStats* stats, uint64_t* steps) {
   local.emblems_recovered = data_count - present_data;
   if (stats) *stats = local;
   return stream;
-}
-
-Result<Bytes> DecodeSampledGrids(const std::vector<Bytes>& grids, StreamId id,
-                                 const Options& options, DecodeStats* stats) {
-  StreamDecoder decoder(id, options);
-  for (const Bytes& grid : grids) {
-    ULE_RETURN_IF_ERROR(decoder.PushGrid(grid));
-  }
-  return decoder.Finish(stats);
-}
-
-Result<Bytes> DecodeImages(const std::vector<media::Image>& scans, StreamId id,
-                           const Options& options, DecodeStats* stats) {
-  StreamDecoder decoder(id, options);
-  for (const media::Image& scan : scans) {
-    ULE_RETURN_IF_ERROR(decoder.PushShared(scan));
-  }
-  return decoder.Finish(stats);
 }
 
 }  // namespace mocoder

@@ -6,14 +6,12 @@
 /// Decoding: scanned images → sampled intensity grids → per-emblem decode
 /// → outer reassembly (erasure recovery of whole lost emblems).
 ///
-/// The pipeline is streaming (`EncodeToSink` / `StreamDecoder`): emblems
-/// flow stage-to-stage through a bounded window on the shared thread
-/// pool, so peak memory for grids and frames is O(threads × emblem) — the
-/// shape `core::ArchiveDumpStreaming`, both `core` restores and real
-/// scanners use. `EncodeStream`/`RenderAll`/`DecodeImages`/
-/// `DecodeSampledGrids` are vector-in/vector-out conveniences over the
-/// same stages (byte-identical results; peak memory O(archive)). The
-/// on-film format is specified in docs/FORMAT.md.
+/// There is one pipeline per direction, and both stream (`EncodeToSink` /
+/// `StreamDecoder`): emblems flow stage-to-stage through a bounded window
+/// on the shared thread pool, so peak memory for grids and frames is
+/// O(threads × emblem) — the shape `core::ArchiveDumpStreaming`, both
+/// `core` restores and real scanners use. The on-film format is specified
+/// in docs/FORMAT.md.
 
 #ifndef ULE_MOCODER_MOCODER_H_
 #define ULE_MOCODER_MOCODER_H_
@@ -21,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "media/image.h"
 #include "mocoder/detect.h"
@@ -56,55 +53,35 @@ struct EncodedEmblem {
   CellGrid grid;
 };
 
-/// Splits `stream` into emblems (with outer parity) for the given stream
-/// id. The result is ordered by sequence number; virtual (all-zero tail)
-/// slots are skipped, so sequence numbers may have gaps.
-Result<std::vector<EncodedEmblem>> EncodeStream(BytesView stream, StreamId id,
-                                                const Options& options);
-
 /// \brief Receives one encoded emblem (and, when rendering was requested,
 /// its frame) in sequence order. A non-OK status aborts the encode.
 using EmblemSink =
     std::function<Status(EncodedEmblem&& emblem, media::Image&& frame)>;
 
-/// \brief Streaming encode: builds the same emblems as EncodeStream (and,
-/// with `render`, the same frames as RenderAll) but hands each one to
-/// `sink` in sequence order through a bounded window instead of
-/// materializing the whole vector — peak grid/frame memory is
-/// O(threads × emblem). Emblem construction and rendering for different
-/// sequence numbers run fused on the shared pool workers; `sink` runs on
-/// the calling thread. `frame` is an empty image when `render` is false.
+/// \brief Splits `stream` into emblems (with outer parity) for the given
+/// stream id and hands each one — with its frame when `render` is set —
+/// to `sink` in sequence order through a bounded window, so peak
+/// grid/frame memory is O(threads × emblem). Virtual (all-zero tail)
+/// slots are skipped, so sequence numbers may have gaps. Emblem
+/// construction and rendering for different sequence numbers run fused on
+/// the shared pool workers; `sink` runs on the calling thread. `frame` is
+/// an empty image when `render` is false. InvalidArgument when the
+/// stream needs a sequence slot beyond the header's 16-bit `seq`/`total`
+/// fields (docs/FORMAT.md §4).
 Status EncodeToSink(BytesView stream, StreamId id, const Options& options,
                     bool render, const EmblemSink& sink);
 
 /// Renders one encoded emblem to pixels.
 media::Image Render(const EncodedEmblem& emblem, const Options& options);
 
-/// Renders a batch of emblems (in parallel across emblems, deterministic
-/// output order: result[i] is emblems[i] rendered).
-std::vector<media::Image> RenderAll(const std::vector<EncodedEmblem>& emblems,
-                                    const Options& options);
-
-/// Per-run statistics of DecodeImages (experiment E8/E12 report these).
+/// Per-stream statistics of StreamDecoder (experiment E8/E12 report these).
 struct DecodeStats {
-  int emblems_total = 0;      ///< images given
+  int emblems_total = 0;      ///< scans pushed (see count_unsampled)
   int emblems_decoded = 0;    ///< emblems whose inner decode succeeded
   int emblems_recovered = 0;  ///< lost emblems rebuilt by the outer code
   int rs_errors_corrected = 0;
+  uint64_t steps = 0;  ///< summed GridDecodeResult::steps of every push
 };
-
-/// \brief Decodes a set of scanned emblem images back into the stream with
-/// the given id. Tolerates missing/destroyed emblems up to the outer
-/// code's budget (3 per group of 20).
-Result<Bytes> DecodeImages(const std::vector<media::Image>& scans, StreamId id,
-                           const Options& options,
-                           DecodeStats* stats = nullptr);
-
-/// Decodes already-sampled intensity grids (the interface shared with the
-/// archived DynaRisc MODecode path).
-Result<Bytes> DecodeSampledGrids(const std::vector<Bytes>& grids, StreamId id,
-                                 const Options& options,
-                                 DecodeStats* stats = nullptr);
 
 /// Outcome of decoding one sampled intensity grid (see GridDecodeFn).
 struct GridDecodeResult {
@@ -124,23 +101,23 @@ using GridDecodeFn = std::function<GridDecodeResult(BytesView grid)>;
 
 /// \brief Push-driven streaming decoder for one emblem stream.
 ///
-/// Scans (or pre-sampled grids) are pushed one at a time — from a vector,
-/// a scanner, or a frame generator — and are sampled + inner-decoded
-/// concurrently on the shared pool with a bounded number in flight, so
-/// peak image/grid memory is O(threads × emblem) regardless of archive
-/// size. Only the small per-emblem records (header + payload) accumulate.
-/// `Finish` performs the deterministic serial merge (outer-code
-/// reassembly) in push order, making output and DecodeStats byte-identical
-/// at any thread count (`DecodeImages`/`DecodeSampledGrids` are this
-/// decoder fed from a vector).
+/// Scans are pushed one at a time — from a frame source, a scanner, or a
+/// frame generator — and are sampled + inner-decoded concurrently on the
+/// shared pool with a bounded number in flight, so peak image/grid memory
+/// is O(threads × emblem) regardless of archive size. Only the small
+/// per-emblem records (header + payload) accumulate. `Finish` performs the
+/// deterministic serial merge (outer-code reassembly) in push order,
+/// making output and DecodeStats byte-identical at any thread count.
+/// Tolerates missing/destroyed emblems up to the outer code's budget (3
+/// per group of 20).
 ///
-/// Not thread-safe: Push*/Finish must be called from one thread.
+/// Not thread-safe: Push/Finish must be called from one thread.
 class StreamDecoder {
  public:
-  /// Native inner decode. `count_unsampled` controls whether scans whose
-  /// emblem could not be sampled at all count into DecodeStats::
-  /// emblems_total (DecodeImages excludes them; the emulated restore path
-  /// counts every scan).
+  /// `decode` replaces the native inner decode when set.
+  /// `count_unsampled` controls whether scans whose emblem could not be
+  /// sampled at all count into DecodeStats::emblems_total (the native
+  /// restore excludes them; the emulated restore path counts every scan).
   StreamDecoder(StreamId id, const Options& options,
                 GridDecodeFn decode = nullptr, bool count_unsampled = false);
   /// Drains outstanding work (discarding results) if Finish was not called.
@@ -152,25 +129,16 @@ class StreamDecoder {
   /// Queues one scan, transferring ownership. Blocks (by helping decode)
   /// when the bounded window is full.
   Status Push(media::Image scan);
-  /// Queues one scan without copying; `scan` must stay alive until Finish.
-  Status PushShared(const media::Image& scan);
-  /// Queues one pre-sampled grid; the view must stay alive until Finish.
-  Status PushGrid(BytesView grid);
 
-  /// Completes all queued work and reassembles the stream. `steps`, when
-  /// given, receives the summed VM step counts of every grid decode (in
-  /// push order). An exception thrown by the decode function (or during
-  /// sampling) is captured on the worker and rethrown here, lowest push
-  /// index first — the ParallelFor contract. Call at most once.
-  Result<Bytes> Finish(DecodeStats* stats = nullptr,
-                       uint64_t* steps = nullptr);
+  /// Completes all queued work and reassembles the stream. An exception
+  /// thrown by the decode function (or during sampling) is captured on the
+  /// worker and rethrown here, lowest push index first — the ParallelFor
+  /// contract. A second Finish, or a Push after Finish, returns
+  /// InvalidArgument.
+  Result<Bytes> Finish(DecodeStats* stats = nullptr);
 
  private:
   struct Impl;
-  /// Common queueing path; `item` points at an Impl::Item (type-erased
-  /// because Impl is private to the .cc).
-  Status PushItem(void* item);
-
   std::shared_ptr<Impl> impl_;
 };
 

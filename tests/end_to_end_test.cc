@@ -208,9 +208,12 @@ TEST(EndToEndTest, EmulatedRestoreOfSegmentedArchive) {
 
   // The archived stream really is segmented, so the per-segment branch
   // of the emulated DBDecode driver is the one under test.
-  auto stream = mocoder::DecodeImages(store.frames(StreamId::kData),
-                                      StreamId::kData,
-                                      summary.value().emblem_options);
+  mocoder::StreamDecoder decoder(StreamId::kData,
+                                 summary.value().emblem_options);
+  for (const media::Image& frame : store.frames(StreamId::kData)) {
+    ASSERT_TRUE(decoder.Push(frame).ok());
+  }
+  auto stream = decoder.Finish();
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   ASSERT_TRUE(dbcoder::IsSegmented(stream.value()));
   auto segments = dbcoder::ListSegments(stream.value());

@@ -109,9 +109,11 @@ TEST(MemoryStoreTest, RoundTripBothStreams) {
   ExpectSameFrames(Drain(*system_source), system.frames);
 
   // The stored frames still decode back to the payload.
-  auto decoded =
-      mocoder::DecodeImages(store.frames(mocoder::StreamId::kData),
-                            mocoder::StreamId::kData, SmallOptions());
+  mocoder::StreamDecoder decoder(mocoder::StreamId::kData, SmallOptions());
+  for (const media::Image& frame : store.frames(mocoder::StreamId::kData)) {
+    ASSERT_TRUE(decoder.Push(frame).ok());
+  }
+  auto decoded = decoder.Finish();
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value(), data.payload);
 }

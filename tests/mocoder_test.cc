@@ -1,9 +1,16 @@
 // Tests for MOCoder: emblem geometry/capacity, modulation round trips,
 // inner RS protection (7.2% claim), detection under scan distortion, the
-// outer 17+3 group code, and full stream round trips through each media
-// profile.
+// outer 17+3 group code, full stream round trips through each media
+// profile, and the StreamDecoder contract.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "media/profiles.h"
 #include "media/scanner.h"
@@ -402,34 +409,92 @@ INSTANTIATE_TEST_SUITE_P(Losses, OuterLossSweep, ::testing::Range(0, 6));
 
 // ---------------- full stream round trips ----------------
 
+// What EncodeToSink hands its sink, collected in sequence order (`frames`
+// stays empty unless rendered).
+struct Encoded {
+  std::vector<EncodedEmblem> emblems;
+  std::vector<media::Image> frames;
+};
+
+Encoded Encode(BytesView stream, StreamId id, const Options& opt,
+               bool render = true) {
+  Encoded out;
+  Status st = EncodeToSink(
+      stream, id, opt, render,
+      [&](EncodedEmblem&& emblem, media::Image&& frame) -> Status {
+        out.emblems.push_back(std::move(emblem));
+        if (render) out.frames.push_back(std::move(frame));
+        return Status::OK();
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+Status DiscardSink(EncodedEmblem&&, media::Image&&) { return Status::OK(); }
+
 TEST(MocoderTest, OptionsValidationRejectsNonsense) {
   const Bytes stream{1, 2, 3};
   Options bad_side;
   bad_side.data_side = 0;
-  EXPECT_EQ(EncodeStream(stream, StreamId::kData, bad_side).status().code(),
+  EXPECT_EQ(EncodeToSink(stream, StreamId::kData, bad_side, false,
+                         DiscardSink)
+                .code(),
             StatusCode::kInvalidArgument);
   bad_side.data_side = -128;
-  EXPECT_EQ(EncodeStream(stream, StreamId::kData, bad_side).status().code(),
+  EXPECT_EQ(EncodeToSink(stream, StreamId::kData, bad_side, false,
+                         DiscardSink)
+                .code(),
             StatusCode::kInvalidArgument);
 
   Options bad_dots;
   bad_dots.dots_per_cell = 0;
-  EXPECT_EQ(EncodeStream(stream, StreamId::kData, bad_dots).status().code(),
+  EXPECT_EQ(EncodeToSink(stream, StreamId::kData, bad_dots, true,
+                         DiscardSink)
+                .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(DecodeImages({}, StreamId::kData, bad_dots).status().code(),
+  StreamDecoder bad_dots_decoder(StreamId::kData, bad_dots);
+  EXPECT_EQ(bad_dots_decoder.Push(media::Image(8, 8, 255)).code(),
             StatusCode::kInvalidArgument);
 
   Options bad_quiet;
   bad_quiet.quiet_cells = -1;
-  EXPECT_EQ(DecodeSampledGrids({}, StreamId::kData, bad_quiet).status().code(),
+  StreamDecoder bad_quiet_decoder(StreamId::kData, bad_quiet);
+  EXPECT_EQ(bad_quiet_decoder.Finish().status().code(),
             StatusCode::kInvalidArgument);
 
   Options bad_threads;
   bad_threads.threads = -4;
-  EXPECT_EQ(EncodeStream(stream, StreamId::kData, bad_threads).status().code(),
+  EXPECT_EQ(EncodeToSink(stream, StreamId::kData, bad_threads, false,
+                         DiscardSink)
+                .code(),
             StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(ValidateOptions(Options{}).ok());
+}
+
+TEST(MocoderTest, StreamBeyondSixteenBitSequenceRejected) {
+  // Emblem headers carry 16-bit seq and total fields. At data_side 65
+  // (203-byte payloads) 11,305,476 bytes fill 3276 groups of 17 data
+  // emblems, the last slot being 65519. This stream needs a 3277th group:
+  // its slots would reach 65539 and its total would be 65536, so it must
+  // be refused instead of wrapping into duplicate sequence numbers.
+  Options opt;
+  opt.data_side = 65;
+  ASSERT_EQ(EmblemCapacity(opt.data_side), 203);
+  const Bytes stream = RandomBytes(15, 11'308'115);
+  Status st = EncodeToSink(stream, StreamId::kData, opt, /*render=*/false,
+                           DiscardSink);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+
+  // The largest stream that fits is accepted; the sink stops the encode
+  // after the first emblem to keep the test fast.
+  const size_t max_len = size_t{3276} * kGroupData * 203;
+  st = EncodeToSink(
+      BytesView(stream.data(), max_len), StreamId::kData, opt,
+      /*render=*/false, [](EncodedEmblem&&, media::Image&&) {
+        return Status::ResourceExhausted("stop after the first emblem");
+      });
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
 }
 
 TEST(MocoderTest, ParallelEncodeDecodeMatchesSerial) {
@@ -441,56 +506,29 @@ TEST(MocoderTest, ParallelEncodeDecodeMatchesSerial) {
   Options parallel = serial;
   parallel.threads = 4;
 
-  auto a = EncodeStream(stream, StreamId::kData, serial);
-  auto b = EncodeStream(stream, StreamId::kData, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), b.value().size());
-  for (size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value()[i].header.seq, b.value()[i].header.seq);
-    EXPECT_EQ(a.value()[i].grid.cells, b.value()[i].grid.cells);
+  Encoded a = Encode(stream, StreamId::kData, serial);
+  Encoded b = Encode(stream, StreamId::kData, parallel);
+  ASSERT_EQ(a.emblems.size(), b.emblems.size());
+  for (size_t i = 0; i < a.emblems.size(); ++i) {
+    EXPECT_EQ(a.emblems[i].header.seq, b.emblems[i].header.seq);
+    EXPECT_EQ(a.emblems[i].grid.cells, b.emblems[i].grid.cells);
+    EXPECT_EQ(a.frames[i].pixels(), b.frames[i].pixels());
   }
-  const auto images_a = RenderAll(a.value(), serial);
-  const auto images_b = RenderAll(b.value(), parallel);
-  ASSERT_EQ(images_a.size(), images_b.size());
-  for (size_t i = 0; i < images_a.size(); ++i) {
-    EXPECT_EQ(images_a[i].pixels(), images_b[i].pixels());
+  StreamDecoder decoder_a(StreamId::kData, serial);
+  StreamDecoder decoder_b(StreamId::kData, parallel);
+  for (size_t i = 0; i < a.frames.size(); ++i) {
+    ASSERT_TRUE(decoder_a.Push(std::move(a.frames[i])).ok());
+    ASSERT_TRUE(decoder_b.Push(std::move(b.frames[i])).ok());
   }
   DecodeStats stats_a, stats_b;
-  auto dec_a = DecodeImages(images_a, StreamId::kData, serial, &stats_a);
-  auto dec_b = DecodeImages(images_b, StreamId::kData, parallel, &stats_b);
+  auto dec_a = decoder_a.Finish(&stats_a);
+  auto dec_b = decoder_b.Finish(&stats_b);
   ASSERT_TRUE(dec_a.ok());
   ASSERT_TRUE(dec_b.ok());
   EXPECT_EQ(dec_a.value(), stream);
   EXPECT_EQ(dec_b.value(), dec_a.value());
   EXPECT_EQ(stats_b.emblems_decoded, stats_a.emblems_decoded);
   EXPECT_EQ(stats_b.rs_errors_corrected, stats_a.rs_errors_corrected);
-}
-
-TEST(MocoderTest, StreamRoundTripSampledGrids) {
-  Rng rng(11);
-  const Bytes stream = RandomPayload(&rng, 5000);
-  Options opt;
-  opt.data_side = 80;
-  auto emblems = EncodeStream(stream, StreamId::kData, opt);
-  ASSERT_TRUE(emblems.ok());
-  std::vector<Bytes> grids;
-  for (const auto& e : emblems.value()) {
-    grids.push_back(Bytes());
-    const int o = kFrameCells;
-    grids.back().resize(static_cast<size_t>(opt.data_side) * opt.data_side);
-    for (int y = 0; y < opt.data_side; ++y) {
-      for (int x = 0; x < opt.data_side; ++x) {
-        grids.back()[static_cast<size_t>(y) * opt.data_side + x] =
-            e.grid.at(o + x, o + y) ? 0 : 255;
-      }
-    }
-  }
-  DecodeStats stats;
-  auto back = DecodeSampledGrids(grids, StreamId::kData, opt, &stats);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value(), stream);
-  EXPECT_EQ(stats.emblems_decoded, stats.emblems_total);
 }
 
 class MediaProfileRoundTrip
@@ -503,19 +541,16 @@ TEST_P(MediaProfileRoundTrip, PrintScanDecode) {
   Options opt;
   opt.data_side = 80;
   opt.dots_per_cell = profile.dots_per_cell;
-  auto emblems = EncodeStream(stream, StreamId::kData, opt);
-  ASSERT_TRUE(emblems.ok());
+  Encoded encoded = Encode(stream, StreamId::kData, opt);
 
-  std::vector<media::Image> scans;
-  for (const auto& e : emblems.value()) {
-    media::Image printed = Render(e, opt);
+  StreamDecoder decoder(StreamId::kData, opt);
+  for (media::Image& printed : encoded.frames) {
     if (profile.bitonal_write) {
       for (auto& px : printed.mutable_pixels()) px = px < 128 ? 0 : 255;
     }
-    scans.push_back(media::Scan(printed, profile.scan));
+    ASSERT_TRUE(decoder.Push(media::Scan(printed, profile.scan)).ok());
   }
-  DecodeStats stats;
-  auto back = DecodeImages(scans, StreamId::kData, opt, &stats);
+  auto back = decoder.Finish();
   ASSERT_TRUE(back.ok()) << profile.name << ": " << back.status().ToString();
   EXPECT_EQ(back.value(), stream) << profile.name;
 }
@@ -535,20 +570,19 @@ TEST(MocoderTest, LostEmblemsRecoveredThroughImages) {
   const Bytes stream = RandomPayload(&rng, 4000);
   Options opt;
   opt.data_side = 80;
-  auto emblems = EncodeStream(stream, StreamId::kData, opt);
-  ASSERT_TRUE(emblems.ok());
-  std::vector<media::Image> scans;
+  Encoded encoded = Encode(stream, StreamId::kData, opt);
+  StreamDecoder decoder(StreamId::kData, opt);
   size_t skipped = 0;
-  for (const auto& e : emblems.value()) {
-    if (skipped < 2 && e.header.seq % 5 == 1) {
+  for (size_t i = 0; i < encoded.emblems.size(); ++i) {
+    if (skipped < 2 && encoded.emblems[i].header.seq % 5 == 1) {
       ++skipped;  // simulate two destroyed frames
       continue;
     }
-    scans.push_back(Render(e, opt));
+    ASSERT_TRUE(decoder.Push(std::move(encoded.frames[i])).ok());
   }
   ASSERT_EQ(skipped, 2u);
   DecodeStats stats;
-  auto back = DecodeImages(scans, StreamId::kData, opt, &stats);
+  auto back = decoder.Finish(&stats);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), stream);
   EXPECT_GT(stats.emblems_recovered, 0);
@@ -559,12 +593,144 @@ TEST(MocoderTest, WrongStreamIdRejected) {
   const Bytes stream = RandomPayload(&rng, 100);
   Options opt;
   opt.data_side = 65;
-  auto emblems = EncodeStream(stream, StreamId::kSystem, opt);
-  ASSERT_TRUE(emblems.ok());
-  std::vector<media::Image> scans;
-  for (const auto& e : emblems.value()) scans.push_back(Render(e, opt));
-  EXPECT_FALSE(DecodeImages(scans, StreamId::kData, opt).ok());
+  Encoded encoded = Encode(stream, StreamId::kSystem, opt);
+  StreamDecoder decoder(StreamId::kData, opt);
+  for (media::Image& frame : encoded.frames) {
+    ASSERT_TRUE(decoder.Push(std::move(frame)).ok());
+  }
+  EXPECT_FALSE(decoder.Finish().ok());
 }
+
+// ---------------- StreamDecoder contract ----------------
+
+// The native inner decode, for GridDecodeFns that wrap it.
+GridDecodeResult DecodeNative(BytesView grid, int data_side) {
+  GridDecodeResult out;
+  auto payload = DecodeEmblemIntensities(grid, data_side, &out.header);
+  if (!payload.ok()) return out;
+  out.ok = true;
+  out.payload = payload.TakeValue();
+  return out;
+}
+
+// Every case runs serially (threads 1: each Push decodes inline) and on
+// pool workers (threads 4: helpers drain a bounded channel).
+class StreamDecoderContract : public ::testing::TestWithParam<int> {
+ protected:
+  StreamDecoderContract() {
+    opt_.data_side = 65;
+    opt_.threads = GetParam();
+    // 2000 bytes at 203 per emblem: data slots 0..9 and parity 17..19,
+    // emitted in that order, so push index i carries seq i for i < 10.
+    stream_ = RandomBytes(16, 2000);
+    encoded_ = Encode(stream_, StreamId::kData, opt_);
+  }
+
+  Options opt_;
+  Bytes stream_;
+  Encoded encoded_;
+};
+
+TEST_P(StreamDecoderContract, PushOrFinishAfterFinishIsInvalid) {
+  StreamDecoder decoder(StreamId::kData, opt_);
+  for (const media::Image& frame : encoded_.frames) {
+    ASSERT_TRUE(decoder.Push(frame).ok());
+  }
+  auto out = decoder.Finish();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value(), stream_);
+  EXPECT_EQ(decoder.Push(encoded_.frames[0]).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoder.Finish().status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_P(StreamDecoderContract, FinishRethrowsLowestPushIndexException) {
+  const int side = opt_.data_side;
+  StreamDecoder decoder(
+      StreamId::kData, opt_, [side](BytesView grid) {
+        GridDecodeResult r = DecodeNative(grid, side);
+        if (r.ok && r.header.seq == 3) {
+          // Let index 5 throw first in time on pool workers.
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("push 3");
+        }
+        if (r.ok && r.header.seq == 5) throw std::runtime_error("push 5");
+        return r;
+      });
+  for (const media::Image& frame : encoded_.frames) {
+    ASSERT_TRUE(decoder.Push(frame).ok());
+  }
+  try {
+    (void)decoder.Finish();
+    ADD_FAILURE() << "Finish did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "push 3");
+  }
+}
+
+TEST_P(StreamDecoderContract, DestroyWithoutFinishDrainsInFlightWork) {
+  // The decode function writes through a heap pointer that dies right
+  // after the decoder: a helper still running past the destructor would
+  // be a use-after-free (caught by the ASan and TSan jobs).
+  auto calls = std::make_unique<std::atomic<int>>(0);
+  std::atomic<int>* counter = calls.get();
+  const int side = opt_.data_side;
+  {
+    StreamDecoder decoder(
+        StreamId::kData, opt_, [counter, side](BytesView grid) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          counter->fetch_add(1);
+          return DecodeNative(grid, side);
+        });
+    for (const media::Image& frame : encoded_.frames) {
+      ASSERT_TRUE(decoder.Push(frame).ok());
+    }
+  }
+  EXPECT_EQ(calls->load(), static_cast<int>(encoded_.frames.size()));
+  calls.reset();
+}
+
+TEST_P(StreamDecoderContract, CountUnsampledDecidesIfBlankScansCount) {
+  for (bool count_unsampled : {false, true}) {
+    StreamDecoder decoder(StreamId::kData, opt_, nullptr, count_unsampled);
+    ASSERT_TRUE(decoder.Push(media::Image(200, 200, 255)).ok());
+    for (const media::Image& frame : encoded_.frames) {
+      ASSERT_TRUE(decoder.Push(frame).ok());
+    }
+    DecodeStats stats;
+    auto out = decoder.Finish(&stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.value(), stream_);
+    const int frames = static_cast<int>(encoded_.frames.size());
+    EXPECT_EQ(stats.emblems_decoded, frames);
+    EXPECT_EQ(stats.emblems_total, frames + (count_unsampled ? 1 : 0))
+        << "count_unsampled=" << count_unsampled;
+  }
+}
+
+TEST_P(StreamDecoderContract, StatsStepsSumGridDecodeSteps) {
+  const int side = opt_.data_side;
+  StreamDecoder decoder(StreamId::kData, opt_, [side](BytesView grid) {
+    GridDecodeResult r = DecodeNative(grid, side);
+    r.steps = 1000 + r.header.seq;
+    return r;
+  });
+  uint64_t expected = 0;
+  for (size_t i = 0; i < encoded_.frames.size(); ++i) {
+    expected += 1000 + encoded_.emblems[i].header.seq;
+    ASSERT_TRUE(decoder.Push(encoded_.frames[i]).ok());
+  }
+  DecodeStats stats;
+  auto out = decoder.Finish(&stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(stats.steps, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, StreamDecoderContract,
+                         ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace mocoder
