@@ -9,7 +9,7 @@
 //   gauge:  {"name": str, "value": float, "unit": str}
 // where ns_per_op is wall time per iteration, mb_per_s is 0 when a
 // record has no natural byte volume, and gauges carry point-in-time
-// measurements (e.g. peak RSS in bytes).
+// measurements (e.g. a reel count or a kernel speedup).
 
 #ifndef ULE_BENCH_BENCH_REPORT_H_
 #define ULE_BENCH_BENCH_REPORT_H_
@@ -37,8 +37,9 @@ struct BenchRecord {
 };
 
 /// Peak resident set size of this process so far, in bytes (0 where the
-/// platform offers no getrusage). Monotone: record the streaming run's
-/// peak *before* running a materialized baseline in the same process.
+/// platform offers no getrusage). Monotone over the process's life, so a
+/// reading covers everything the process ran before it. perfbench
+/// reports it as `peak_rss_mb`.
 inline uint64_t MaxRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage;

@@ -126,11 +126,7 @@ Result<std::string> ProjectRow(std::string_view line, size_t field_count,
 
 const Bytes* SelectiveRestorer::PayloadCache::Get(uint16_t seq) {
   auto it = entries_.find(seq);
-  if (it == entries_.end()) {
-    ++counters_.misses;
-    return nullptr;
-  }
-  ++counters_.hits;
+  if (it == entries_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second.second);
   return &it->second.first;
 }
@@ -153,16 +149,11 @@ void SelectiveRestorer::PayloadCache::Put(uint16_t seq, Bytes payload) {
     auto v = entries_.find(victim);
     bytes_ -= v->second.first.size();
     entries_.erase(v);
-    ++counters_.evictions;
   }
 }
 
 // ---------------------------------------------------------------------------
 // SelectiveRestorer
-
-SelectiveRestorer::CacheCounters SelectiveRestorer::cache_counters() const {
-  return cache_.has_value() ? cache_->counters() : CacheCounters{};
-}
 
 Result<SelectiveRestorer> SelectiveRestorer::Open(
     const filmstore::ReelReader& reader, const SelectiveOptions& options) {

@@ -90,17 +90,6 @@ class SelectiveRestorer {
 
   const RecordIndex& index() const { return index_; }
 
-  /// Lifetime counters of the decoded-payload LRU cache, across every
-  /// Restore on this restorer (SelectiveStats is per-call and only counts
-  /// the chunk-assembly probes; these gauge the cache itself, including
-  /// group-recovery lookups — bench_microfilm records them).
-  struct CacheCounters {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  CacheCounters cache_counters() const;
-
   /// Restores the dump text selected by `pred` (see file comment for the
   /// exact shape). NotFound names the available tables when `pred.table`
   /// is not in the archive; a row range reaching past the table's end is
@@ -120,12 +109,13 @@ class SelectiveRestorer {
   Status EnsureWholeDump();
 
   /// Bounded LRU over decoded emblem payloads, keyed by sequence number.
+  /// It keeps no counters: a restore's hits and inner decodes are counted
+  /// in its SelectiveStats (`cache_hits`, `emblems_decoded`).
   class PayloadCache {
    public:
     explicit PayloadCache(size_t budget) : budget_(budget) {}
     const Bytes* Get(uint16_t seq);
     void Put(uint16_t seq, Bytes payload);
-    const CacheCounters& counters() const { return counters_; }
 
    private:
     size_t budget_;
@@ -134,7 +124,6 @@ class SelectiveRestorer {
     std::unordered_map<uint16_t,
                        std::pair<Bytes, std::list<uint16_t>::iterator>>
         entries_;
-    CacheCounters counters_;
   };
 
   const filmstore::ReelReader* reader_ = nullptr;

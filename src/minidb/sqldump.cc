@@ -1,6 +1,8 @@
 #include "minidb/sqldump.h"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 namespace ule {
 namespace minidb {
@@ -35,7 +37,17 @@ Result<Column> ParseColumnDef(std::string_view def, int line) {
     col.scale = 2;
     if (comma != std::string::npos && close != std::string::npos &&
         close > comma) {
-      col.scale = std::atoi(type.substr(comma + 1, close - comma - 1).c_str());
+      const std::string_view digits =
+          Trim(std::string_view(type).substr(comma + 1, close - comma - 1));
+      const auto [ptr, ec] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), col.scale);
+      if (ec != std::errc() || ptr != digits.data() + digits.size() ||
+          col.scale < 0 || col.scale > kMaxDecimalScale) {
+        return Status::Corruption(
+            "dump line " + std::to_string(line) + ": decimal scale '" +
+            std::string(digits) + "' outside [0, " +
+            std::to_string(kMaxDecimalScale) + "]");
+      }
     }
   } else if (type == "date") {
     col.type = Type::kDate;

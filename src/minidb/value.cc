@@ -1,6 +1,8 @@
 #include "minidb/value.h"
 
+#include <charconv>
 #include <cstdio>
+#include <string_view>
 
 namespace ule {
 namespace minidb {
@@ -98,14 +100,57 @@ Result<int64_t> ParseDate(const std::string& s) {
 
 namespace {
 
+int64_t Pow10(int exponent) {
+  int64_t p = 1;
+  for (int i = 0; i < exponent; ++i) p *= 10;
+  return p;
+}
+
+/// Parses all of `s` as a base-10 int64 with an optional leading '-':
+/// false when it is empty, has any other character, or is out of range.
+bool ParseInt64(std::string_view s, int64_t* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// `scale` fraction digits of "[-]int[.frac]" as a scaled int64; false
+/// when the text is malformed or the scaled value overflows.
+bool ParseDecimal(std::string_view s, int scale, int64_t* out) {
+  const size_t dot = s.find('.');
+  const std::string_view ip = s.substr(0, dot);
+  const std::string_view fp =
+      dot == std::string_view::npos ? std::string_view() : s.substr(dot + 1);
+  if (static_cast<int>(fp.size()) > scale) return false;
+  for (char c : fp) {
+    if (c < '0' || c > '9') return false;
+  }
+  const bool neg = !ip.empty() && ip[0] == '-';
+  // ".5" and "-.5" have no integer digits; "", "-" and "." no digits at all.
+  const bool int_digits = ip.size() > (neg ? 1u : 0u);
+  if (!int_digits && fp.empty()) return false;
+  int64_t intpart = 0;
+  if (int_digits && !ParseInt64(ip, &intpart)) return false;
+  int64_t frac = 0;
+  for (char c : fp) frac = frac * 10 + (c - '0');
+  frac *= Pow10(scale - static_cast<int>(fp.size()));
+  int64_t scaled = 0;
+  if (__builtin_mul_overflow(intpart, Pow10(scale), &scaled)) return false;
+  return neg ? !__builtin_sub_overflow(scaled, frac, out)
+             : !__builtin_add_overflow(scaled, frac, out);
+}
+
 std::string FormatDecimal(int64_t v, int scale) {
   const bool neg = v < 0;
-  uint64_t a = neg ? static_cast<uint64_t>(-v) : static_cast<uint64_t>(v);
-  uint64_t pow10 = 1;
-  for (int i = 0; i < scale; ++i) pow10 *= 10;
+  // Unsigned negation: well defined for INT64_MIN too.
+  const uint64_t a =
+      neg ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v);
+  const uint64_t pow10 = static_cast<uint64_t>(Pow10(scale));
+  const std::string whole = (neg ? "-" : "") + std::to_string(a / pow10);
+  if (scale == 0) return whole;
   std::string frac = std::to_string(a % pow10);
   frac.insert(0, static_cast<size_t>(scale) - frac.size(), '0');
-  return (neg ? "-" : "") + std::to_string(a / pow10) + "." + frac;
+  return whole + "." + frac;
 }
 
 std::string EscapeText(const std::string& s) {
@@ -177,36 +222,21 @@ Result<Value> Value::FromDumpString(const std::string& s, Type type,
   if (s == "\\N") return Null();
   switch (type) {
     case Type::kInt: {
-      try {
-        return Int(std::stoll(s));
-      } catch (...) {
-        return Status::Corruption("bad int '" + s + "'");
-      }
+      int64_t v = 0;
+      if (!ParseInt64(s, &v)) return Status::Corruption("bad int '" + s + "'");
+      return Int(v);
     }
     case Type::kDecimal: {
-      const size_t dot = s.find('.');
-      try {
-        if (dot == std::string::npos) {
-          int64_t pow10 = 1;
-          for (int i = 0; i < scale; ++i) pow10 *= 10;
-          return Decimal(std::stoll(s) * pow10);
-        }
-        const std::string ip = s.substr(0, dot);
-        std::string fp = s.substr(dot + 1);
-        if (static_cast<int>(fp.size()) > scale) {
-          return Status::Corruption("decimal overflow '" + s + "'");
-        }
-        fp.resize(static_cast<size_t>(scale), '0');
-        int64_t pow10 = 1;
-        for (int i = 0; i < scale; ++i) pow10 *= 10;
-        const int64_t intpart = std::stoll(ip.empty() || ip == "-" ? ip + "0" : ip);
-        const int64_t frac = fp.empty() ? 0 : std::stoll(fp);
-        const bool neg = !ip.empty() && ip[0] == '-';
-        const int64_t mag = (neg ? -intpart : intpart) * pow10 + frac;
-        return Decimal(neg ? -mag : mag);
-      } catch (...) {
+      if (scale < 0 || scale > kMaxDecimalScale) {
+        return Status::Corruption("decimal scale " + std::to_string(scale) +
+                                  " outside [0, " +
+                                  std::to_string(kMaxDecimalScale) + "]");
+      }
+      int64_t scaled = 0;
+      if (!ParseDecimal(s, scale, &scaled)) {
         return Status::Corruption("bad decimal '" + s + "'");
       }
+      return Decimal(scaled);
     }
     case Type::kDate: {
       ULE_ASSIGN_OR_RETURN(int64_t days, ParseDate(s));

@@ -22,6 +22,10 @@ enum class Type {
   kDate,     ///< days since 1970-01-01
 };
 
+/// Largest fraction-digit count a decimal column may declare: 10^18 is
+/// the largest power of ten an int64 holds.
+inline constexpr int kMaxDecimalScale = 18;
+
 const char* TypeName(Type t);
 /// SQL type name used in dumps ("bigint", "decimal(15,2)", ...).
 std::string SqlTypeName(Type t, int scale);
@@ -44,7 +48,9 @@ class Value {
   /// with exactly `scale` fraction digits; text with \t \n \\ escaped).
   std::string ToDumpString(Type type, int scale) const;
 
-  /// Parses the dump representation.
+  /// Parses the dump representation. Corruption for a number with
+  /// trailing characters, a decimal whose scaled value does not fit in
+  /// int64, or a scale outside [0, kMaxDecimalScale].
   static Result<Value> FromDumpString(const std::string& s, Type type,
                                       int scale);
 

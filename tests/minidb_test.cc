@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "minidb/csv.h"
 #include "minidb/database.h"
 #include "minidb/sqldump.h"
@@ -52,6 +57,56 @@ TEST(ValueTest, ParseRejectsGarbage) {
   EXPECT_FALSE(Value::FromDumpString("not-a-number", Type::kInt, 0).ok());
   EXPECT_FALSE(Value::FromDumpString("1995-13-99", Type::kDate, 0).ok());
   EXPECT_FALSE(Value::FromDumpString("1.234", Type::kDecimal, 2).ok());
+  // Trailing characters, out-of-range integers, scaled decimals that do
+  // not fit in int64, and scales past 10^18 are Corruption, not a
+  // truncated value or signed overflow.
+  const struct {
+    const char* text;
+    Type type;
+    int scale;
+  } kBad[] = {
+      {"12abc", Type::kInt, 0},
+      {"9223372036854775808", Type::kInt, 0},
+      {"12abc", Type::kDecimal, 2},
+      {"1.2x", Type::kDecimal, 2},
+      {"1.-5", Type::kDecimal, 2},
+      {"-", Type::kDecimal, 2},
+      {".", Type::kDecimal, 2},
+      {"99999999999999999", Type::kDecimal, 2},
+      {"92233720368547758.08", Type::kDecimal, 2},
+      {"-92233720368547758.09", Type::kDecimal, 2},
+      {"1", Type::kDecimal, 25},
+      {"1.5", Type::kDecimal, 25},
+      {"1", Type::kDecimal, -1},
+  };
+  for (const auto& bad : kBad) {
+    auto v = Value::FromDumpString(bad.text, bad.type, bad.scale);
+    ASSERT_FALSE(v.ok()) << bad.text << " scale " << bad.scale;
+    EXPECT_EQ(v.status().code(), StatusCode::kCorruption) << bad.text;
+  }
+}
+
+TEST(ValueTest, DecimalParseEdges) {
+  // The int64 extremes at scale 2, and a scale-0 column, round-trip.
+  for (const auto& [text, scale, scaled] :
+       std::vector<std::tuple<std::string, int, int64_t>>{
+           {"92233720368547758.07", 2, INT64_MAX},
+           {"-92233720368547758.08", 2, INT64_MIN},
+           {"-0.50", 2, -50},
+           {"42", 0, 42},
+           {"0.000000000000000001", 18, 1}}) {
+    auto v = Value::FromDumpString(text, Type::kDecimal, scale);
+    ASSERT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+    EXPECT_EQ(v.value().AsInt(), scaled) << text;
+    EXPECT_EQ(v.value().ToDumpString(Type::kDecimal, scale), text);
+  }
+  // Missing integer or fraction digits parse as zero.
+  auto half = Value::FromDumpString("-.5", Type::kDecimal, 2);
+  ASSERT_TRUE(half.ok());
+  EXPECT_EQ(half.value().AsInt(), -50);
+  auto whole = Value::FromDumpString("7.", Type::kDecimal, 2);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(whole.value().AsInt(), 700);
 }
 
 TEST(ValueTest, DateRoundTripSweep) {
@@ -157,6 +212,27 @@ TEST(SqlDumpTest, LoadRejectsMalformed) {
   const std::string bad_row =
       "CREATE TABLE t (\n    a bigint\n);\nCOPY t (a) FROM stdin;\n1\t2\n\\.\n";
   EXPECT_FALSE(LoadSql(bad_row).ok());
+  // Scales outside [0, 18] are refused at the schema; rows with trailing
+  // characters or decimals that overflow int64 at the column scale are
+  // refused at the row.
+  const auto table = [](const std::string& type, const std::string& row) {
+    return "CREATE TABLE t (\n    a " + type +
+           "\n);\nCOPY t (a) FROM stdin;\n" + row + "\n\\.\n";
+  };
+  for (const std::string& dump :
+       {table("numeric(15,25)", "1.5"), table("numeric(15,25)", "\\N"),
+        table("decimal(15,-1)", "1"), table("decimal(15,x)", "1"),
+        table("decimal(15,2)", "99999999999999999"),
+        table("decimal(15,2)", "1.5abc"), table("bigint", "12abc")}) {
+    auto loaded = LoadSql(dump);
+    ASSERT_FALSE(loaded.ok()) << dump;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << dump;
+  }
+  // The same shapes in range load, and a scale-0 column dumps back.
+  EXPECT_TRUE(LoadSql(table("decimal(15, 18)", "0.5")).ok());
+  auto whole = LoadSql(table("decimal(15,0)", "12"));
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_NE(DumpSql(whole.value()).find("\n12\n"), std::string::npos);
 }
 
 TEST(SqlDumpTest, EmptyTablesSurvive) {

@@ -500,6 +500,21 @@ TEST(ReelSetParityTest, ParityHealsLostReelsTransparently) {
   ASSERT_TRUE(catalog.ok());
   const size_t reels = catalog.value().reels.size();
   ASSERT_GE(reels, 3u);
+  // The stripe is the longest data reel, and each .ulep file is the
+  // 16-byte ULE-P1 header plus one stripe (docs/FORMAT.md §10.1).
+  const ParityInfo& parity = catalog.value().parity;
+  ASSERT_EQ(parity.reels.size(), 2u);
+  uint64_t longest = 0;
+  for (const CatalogReel& reel : catalog.value().reels) {
+    longest = std::max(longest, reel.bytes);
+  }
+  EXPECT_EQ(parity.stripe_bytes, longest);
+  for (const CatalogParityReel& reel : parity.reels) {
+    EXPECT_EQ(reel.bytes, 16u + parity.stripe_bytes) << reel.name;
+    EXPECT_EQ(std::filesystem::file_size(testing::TempDir() + reel.name),
+              16u + parity.stripe_bytes)
+        << reel.name;
+  }
   // Lose two whole reels — exactly the parity budget.
   ASSERT_TRUE(std::filesystem::remove(testing::TempDir() +
                                       catalog.value().reels[0].name));

@@ -323,6 +323,7 @@ TEST(ScrubFleetTest, RepairsAcrossMixedArchivesAndReportsJson) {
   WriteContainerAt(root + "solo.ulec", data);
   auto hurt = LoadCatalog(root + "hurt.uler");
   ASSERT_TRUE(hurt.ok());
+  const uint64_t hurt_reel_bytes = hurt.value().reels[1].bytes;
   ASSERT_TRUE(std::filesystem::remove(root + hurt.value().reels[1].name));
   auto lost = LoadCatalog(root + "lost.uler");
   ASSERT_TRUE(lost.ok());
@@ -341,7 +342,8 @@ TEST(ScrubFleetTest, RepairsAcrossMixedArchivesAndReportsJson) {
   EXPECT_EQ(report.value().repairable, 0u);
   EXPECT_EQ(report.value().data_loss, 1u);
   EXPECT_EQ(report.value().errors, 0u);
-  EXPECT_GT(report.value().repaired_bytes, 0u);
+  // Exactly the one deleted reel was rewritten, at its sealed size.
+  EXPECT_EQ(report.value().repaired_bytes, hurt_reel_bytes);
   EXPECT_EQ(report.value().ExitCode(), 2);  // the lost set is gone
   // Verdicts are sorted by path and the JSON carries every archive.
   const std::string json = report.value().ToJson();

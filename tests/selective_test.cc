@@ -1,8 +1,8 @@
 // Selective restoration: the ULE-S1 record index (chunk planning, wire
 // form, derivation) and core::RestoreSelective — which must read strictly
-// fewer frame records AND payload bytes than a full restore while
-// returning the byte-exact slice of the dump, on both a single ULE-C1
-// container and a sharded ULE-R1 reel set.
+// fewer frame records AND payload bytes than a full restore, exactly the
+// pinned I/O budget, while returning the byte-exact slice of the dump, on
+// both a single ULE-C1 container and a sharded ULE-R1 reel set.
 
 #include <gtest/gtest.h>
 
@@ -228,6 +228,22 @@ TEST(RecordIndexTest, DeriveMatchesSegmentedStreamSpans) {
 // Selective restore — acceptance: strictly fewer reads, byte-identical
 // output, on both single-container and sharded archives.
 
+/// What a full restore and a selective restore of `orders` read on the
+/// TestDump() fixtures. The archive bytes, the record index and the cache
+/// policy fix every figure, so they are exact I/O budgets, identical at
+/// any thread count. Both fixtures hold the same frame records, so they
+/// share one budget: `orders` needs 134 of the 1003 records, and the two
+/// cache hits are emblems its chunks share.
+struct ExpectedIo {
+  uint64_t full_records;
+  uint64_t full_bytes;
+  uint64_t records_read;
+  uint64_t bytes_read;
+  size_t emblems_decoded;
+  size_t cache_hits;
+};
+constexpr ExpectedIo kOrdersIo = {1003, 25053937, 134, 3347186, 134, 2};
+
 void RunAcceptance(const std::string& archive_path) {
   const std::string& dump = TestDump();
 
@@ -247,6 +263,8 @@ void RunAcceptance(const std::string& archive_path) {
     full_records = full.records;
     full_bytes = full.bytes;
     ASSERT_GT(full_records, 0u);
+    EXPECT_EQ(full_records, kOrdersIo.full_records);
+    EXPECT_EQ(full_bytes, kOrdersIo.full_bytes);
   }
 
   // Selective restore of one table through a fresh reader.
@@ -279,6 +297,11 @@ void RunAcceptance(const std::string& archive_path) {
   EXPECT_GT(stats.bytes_read, 0u);
   EXPECT_LT(stats.bytes_read, full_bytes);
   EXPECT_GT(stats.chunks_decoded, 0u);
+  // ...and exactly the budgeted reads, decodes and cache hits.
+  EXPECT_EQ(stats.records_read, kOrdersIo.records_read);
+  EXPECT_EQ(stats.bytes_read, kOrdersIo.bytes_read);
+  EXPECT_EQ(stats.emblems_decoded, kOrdersIo.emblems_decoded);
+  EXPECT_EQ(stats.cache_hits, kOrdersIo.cache_hits);
 }
 
 TEST(SelectiveRestoreTest, AcceptanceOnSingleContainer) {

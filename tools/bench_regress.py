@@ -10,14 +10,16 @@ history entry and fails (exit 1) on large regressions:
   * timing records: `ns_per_op` grew by more than --timing-threshold x
     (default 4.0 — generous, because CI machines differ from the
     machines that recorded the history);
-  * gauge records: `value` grew by more than --gauge-threshold x
-    (default 1.5 — counters like `selective_records_read` are
-    deterministic I/O budgets, so even a small growth is a real
-    regression); gauges with "rss" in the name use the timing
-    threshold instead, since peak RSS scales with the machine's
-    worker count; gauges with "speedup" in the name (the SIMD kernel
-    wins, e.g. `crc32_kernel_speedup`) regress by *shrinking*, so the
-    comparison is inverted for them and uses the timing threshold
+  * counter gauges: `value` grew by more than --gauge-threshold x
+    (default 1.5 — counters like `reelset_reels_4reel` or
+    `verisc_machines_built_during_dispatch` are deterministic, so even
+    a small growth is a real regression); a counter whose baseline is
+    0 must stay 0, so any positive fresh value fails;
+  * gauges with "rss" in the name use the timing threshold instead,
+    since peak RSS scales with the machine's worker count;
+  * gauges with "speedup" in the name (the SIMD kernel wins, e.g.
+    `crc32_kernel_speedup`) regress by *shrinking*, so the comparison
+    is inverted for them and uses the timing threshold
     (machine-dependent ratio).
 
 Records present on only one side are reported but never fail (benches
@@ -81,7 +83,6 @@ def compare_file(current: Path, baseline: Path, timing_threshold: float,
             what = "ns_per_op"
         else:
             old, new = b.get("value", 0.0), c.get("value", 0.0)
-            threshold = timing_threshold if "rss" in name else gauge_threshold
             what = "value"
             if "speedup" in name:
                 # A speedup gauge regresses by shrinking: invert so the
@@ -89,6 +90,17 @@ def compare_file(current: Path, baseline: Path, timing_threshold: float,
                 old, new = new, old
                 threshold = timing_threshold
                 what = "value (speedup, inverted)"
+            elif "rss" in name:
+                threshold = timing_threshold
+            else:
+                threshold = gauge_threshold
+                if old == 0 and new > 0:
+                    # No ratio bounds growth from zero: a zero counter
+                    # baseline means "must stay zero".
+                    errors.append(
+                        f"{current.name}: {name}: value 0 -> {new:.1f} "
+                        "(a zero counter baseline must stay zero)")
+                    continue
         if old <= 0:
             continue
         ratio = new / old
