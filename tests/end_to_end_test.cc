@@ -10,9 +10,11 @@
 #include "dbcoder/dbcoder.h"
 #include "filmstore/container.h"
 #include "filmstore/frame_store.h"
+#include "filmstore/reel_reader.h"
 #include "media/scanner.h"
 #include "minidb/sqldump.h"
 #include "support/io.h"
+#include "tests/golden.h"
 #include "tests/testutil.h"
 #include "tpch/tpch.h"
 #include "verisc/implementations.h"
@@ -390,6 +392,36 @@ TEST(EndToEndTest, TooManyLostEmblemsFailsCleanly) {
   auto restored = RestoreNativeStreaming(data_source, system_source.get(),
                                          summary.value().emblem_options);
   EXPECT_FALSE(restored.ok());
+}
+
+TEST(GoldenArchiveTest, C1RestoresThroughItsOwnBootstrap) {
+  // The future user's path on an archive written by an earlier commit
+  // (tests/golden/README.md): only its Bootstrap and frames are used, so
+  // the MODecode and DBDecode that run are the ones archived back then.
+  auto reel = filmstore::OpenReel(testutil::GoldenPath("c1_v1.ulec"));
+  ASSERT_TRUE(reel.ok()) << reel.status().ToString();
+  auto expected = ReadFileText(testutil::GoldenPath("c1_v1.sql"));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto bootstrap = reel.value()->ReadBootstrap();
+  ASSERT_TRUE(bootstrap.ok()) << bootstrap.status().ToString();
+
+  RestoreStats stats[2];
+  const int thread_counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    mocoder::Options options = reel.value()->emblem_options();
+    options.threads = thread_counts[i];
+    auto data = reel.value()->OpenFrames(StreamId::kData);
+    auto system = reel.value()->OpenFrames(StreamId::kSystem);
+    auto restored = RestoreEmulatedStreaming(*data, *system, bootstrap.value(),
+                                             options, &stats[i]);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value(), expected.value())
+        << "threads " << thread_counts[i];
+  }
+  ExpectSameStats(stats[1].data_stream, stats[0].data_stream);
+  ExpectSameStats(stats[1].system_stream, stats[0].system_stream);
+  EXPECT_GT(stats[0].emulated_steps, 0u);
+  EXPECT_EQ(stats[1].emulated_steps, stats[0].emulated_steps);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/micr_olonys.h"
+#include "core/record_index.h"
 #include "filmstore/container.h"
 #include "filmstore/directory_store.h"
 #include "filmstore/frame_store.h"
@@ -21,6 +22,7 @@
 #include "mocoder/mocoder.h"
 #include "support/io.h"
 #include "support/random.h"
+#include "tests/golden.h"
 
 namespace ule {
 namespace filmstore {
@@ -763,6 +765,37 @@ TEST(ReelReaderTest, OpenReelPicksTheBackendFromThePath) {
     auto source = r.OpenFrames(mocoder::StreamId::kData);
     ExpectSameFrames(Drain(*source), data.frames);
     EXPECT_TRUE(r.Verify().ok());
+  }
+}
+
+TEST(GoldenArchiveTest, C1RestoresNatively) {
+  // An archive written by an earlier commit (tests/golden/README.md) must
+  // keep restoring byte for byte through today's readers and decoders.
+  auto reel = OpenReel(testutil::GoldenPath("c1_v1.ulec"));
+  ASSERT_TRUE(reel.ok()) << reel.status().ToString();
+  auto expected = ReadFileText(testutil::GoldenPath("c1_v1.sql"));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  // The golden covers the segmented (UDBS) stream shape.
+  auto section = reel.value()->ReadIndexSection();
+  ASSERT_TRUE(section.ok()) << section.status().ToString();
+  auto index = core::RecordIndex::Parse(section.value());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_TRUE(index.value().segmented);
+  EXPECT_GE(index.value().chunks.size(), 3u);
+
+  for (const int threads : {1, 4}) {
+    mocoder::Options options = reel.value()->emblem_options();
+    options.threads = threads;
+    auto data = reel.value()->OpenFrames(mocoder::StreamId::kData);
+    auto system = reel.value()->OpenFrames(mocoder::StreamId::kSystem);
+    core::RestoreStats stats;
+    auto restored =
+        core::RestoreNativeStreaming(*data, system.get(), options, &stats);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value(), expected.value()) << "threads " << threads;
+    EXPECT_EQ(stats.data_stream.emblems_decoded, 5);
+    EXPECT_EQ(stats.system_stream.emblems_decoded, 8);
   }
 }
 
