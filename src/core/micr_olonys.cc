@@ -126,13 +126,20 @@ Result<Bytes> DecodeSourceStream(filmstore::FrameSource& source,
   return decoder.Finish(stats);
 }
 
+/// Step cap of one archived MODecode run (and the ceiling of every
+/// DBDecode segment's budget): ~2 minutes at ~1.7 G VeRisc steps/s.
+constexpr uint64_t kNestedStepCap = 200'000'000'000ull;
+
 /// Runs a DynaRisc program under nested emulation via the *parsed
-/// Bootstrap* interpreter (not the in-tree one), accumulating step counts.
+/// Bootstrap* interpreter (not the in-tree one), for at most `max_steps`
+/// VeRisc steps (ResourceExhausted beyond), adding the steps retired to
+/// `*steps`.
 Result<Bytes> RunViaBootstrap(const verisc::Program& interpreter,
                               const dynarisc::Program& guest, BytesView input,
-                              verisc::VmFunction vm, uint64_t* steps) {
+                              verisc::VmFunction vm, uint64_t max_steps,
+                              uint64_t* steps) {
   verisc::RunOptions opts;
-  opts.max_steps = 200'000'000'000ull;
+  opts.max_steps = max_steps;
   // When the parsed Bootstrap's emulator is word-for-word the in-tree
   // interpreter (the round-trip guarantee olonys_test pins down) and the
   // caller runs the reference engine, route through RunNested so the
@@ -151,6 +158,9 @@ Result<Bytes> RunViaBootstrap(const verisc::Program& interpreter,
   const Bytes packed = olonys::PackNestedInput(guest, input);
   ULE_ASSIGN_OR_RETURN(verisc::RunResult r, vm(interpreter, packed, opts));
   if (steps) *steps += r.steps;
+  if (r.reason == verisc::StopReason::kStepLimit) {
+    return Status::ResourceExhausted("nested emulation exceeded step limit");
+  }
   if (r.reason != verisc::StopReason::kHalted) {
     return Status::ExecutionFault("nested emulation did not halt cleanly");
   }
@@ -173,8 +183,8 @@ mocoder::GridDecodeFn MakeNestedGridDecode(const verisc::Program& interpreter,
           capacity](BytesView grid) {
     mocoder::GridDecodeResult out;
     const Bytes input = decoders::PackModecodeInput(grid, data_side);
-    auto container =
-        RunViaBootstrap(interpreter, modecode, input, vm, &out.steps);
+    auto container = RunViaBootstrap(interpreter, modecode, input, vm,
+                                     kNestedStepCap, &out.steps);
     if (!container.ok()) return out;
     if (container.value().size() != static_cast<size_t>(blocks) * 223) {
       return out;  // MODecode halted early: unrecoverable
@@ -191,26 +201,122 @@ mocoder::GridDecodeFn MakeNestedGridDecode(const verisc::Program& interpreter,
   };
 }
 
+/// VeRisc steps the archived DBDecode may spend per output byte, by the
+/// scheme a segment's UDB1 header records. Each is about 3x the worst
+/// figure measured on the cold nested path (the slower one, which foreign
+/// VeRisc implementations take), over TPC-H text, random bytes, zeros and
+/// a period-5 pattern of 4 KB: store 7.6 K, LZSS 42.7 K and LZAC 82.9 K,
+/// all three on random bytes. TPC-H text costs LZAC 30 K/byte cold and
+/// 25.0 K warm (5,569,468,095 steps for the 222,541-byte SF 0.0002 dump),
+/// so its budget is ~10x what it uses. A scheme the in-tree DBDecode does
+/// not know gets the largest budget: a later archive's decoder might.
+uint64_t DbDecodeStepsPerByte(dbcoder::Scheme scheme) {
+  switch (scheme) {
+    case dbcoder::Scheme::kStore:
+      return 25'000;
+    case dbcoder::Scheme::kLzss:
+      return 130'000;
+    default:
+      return 250'000;
+  }
+}
+
+/// Startup allowance of every DBDecode run: 5x the cold path's ~19.8 M
+/// steps of interpreter bootstrap (the warm path starts in ~0.2 M).
+constexpr uint64_t kDbDecodeStartupSteps = 100'000'000;
+
 /// Runs the archived DBDecode over the recovered DBCoder stream. A
 /// segmented stream (UDBS, docs/FORMAT.md §11.1) is *framing* only: the
 /// contemporary driver walks the segment table and runs the archived
 /// decoder once per UDB1 segment, concatenating the outputs — the
-/// Bootstrap-documented decoder itself never sees the framing.
+/// Bootstrap-documented decoder itself never sees the framing. A plain
+/// UDB1 stream is one segment.
+///
+/// Segments are independent, so they run concurrently on up to `threads`
+/// workers, largest first (the tail is then a small one). Each gets its
+/// own step budget, startup allowance plus raw_len x DbDecodeStepsPerByte
+/// (capped at kNestedStepCap), and its output must match the raw length
+/// and CRC of its UDB1 header. Outputs and step counts land in
+/// per-segment slots and are joined in index order, every segment runs
+/// even after another one failed, and the lowest-index failure is
+/// returned, so the output, `*steps` and any error are the same at every
+/// thread count.
 Result<Bytes> RunDbDecode(const verisc::Program& interpreter,
                           const dynarisc::Program& dbdecode, BytesView stream,
-                          verisc::VmFunction vm, uint64_t* steps) {
-  if (!dbcoder::IsSegmented(stream)) {
-    return RunViaBootstrap(interpreter, dbdecode, stream, vm, steps);
+                          int threads, verisc::VmFunction vm,
+                          uint64_t* steps) {
+  std::vector<dbcoder::SegmentSpan> spans;
+  if (dbcoder::IsSegmented(stream)) {
+    // ListSegments already rejects a table whose raw total disagrees with
+    // the raw lengths the segments' UDB1 headers record.
+    ULE_ASSIGN_OR_RETURN(spans, dbcoder::ListSegments(stream));
+  } else {
+    spans.push_back({0, 0, 0, stream.size()});
   }
-  ULE_ASSIGN_OR_RETURN(std::vector<dbcoder::SegmentSpan> segments,
-                       dbcoder::ListSegments(stream));
+  const size_t n = spans.size();
+  auto name = [n](size_t i) {
+    return "DBDecode segment " + std::to_string(i) + " of " +
+           std::to_string(n);
+  };
+  auto segment_bytes = [&](size_t i) {
+    return stream.subspan(static_cast<size_t>(spans[i].stream_offset),
+                          static_cast<size_t>(spans[i].stream_len));
+  };
+
+  // Every header is checked before anything runs.
+  std::vector<dbcoder::ContainerHeader> headers(n);
+  for (size_t i = 0; i < n; ++i) {
+    Result<dbcoder::ContainerHeader> header =
+        dbcoder::ParseContainerHeader(segment_bytes(i));
+    if (!header.ok()) {
+      return Status::Corruption(name(i) + ": " + header.status().message());
+    }
+    headers[i] = header.value();
+  }
+
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return headers[a].raw_len > headers[b].raw_len;
+  });
+  std::vector<Result<Bytes>> outputs(n, Bytes());
+  std::vector<uint64_t> segment_steps(n, 0);
+  auto budget = [&](size_t i) {
+    return std::min(kDbDecodeStartupSteps +
+                        uint64_t{headers[i].raw_len} *
+                            DbDecodeStepsPerByte(headers[i].scheme),
+                    kNestedStepCap);
+  };
+  ULE_RETURN_IF_ERROR(ParallelFor(
+      0, n,
+      [&](size_t k) {
+        const size_t i = order[k];
+        outputs[i] = RunViaBootstrap(interpreter, dbdecode, segment_bytes(i),
+                                     vm, budget(i), &segment_steps[i]);
+        return Status::OK();
+      },
+      threads));
+
+  for (uint64_t s : segment_steps) *steps += s;
   Bytes out;
-  for (const dbcoder::SegmentSpan& seg : segments) {
-    ULE_ASSIGN_OR_RETURN(
-        Bytes piece,
-        RunViaBootstrap(interpreter, dbdecode,
-                        stream.subspan(seg.stream_offset, seg.stream_len), vm,
-                        steps));
+  for (size_t i = 0; i < n; ++i) {
+    const Status& status = outputs[i].status();
+    if (status.code() == StatusCode::kResourceExhausted) {
+      return Status::ResourceExhausted(
+          name(i) + " ran out of its step budget (" +
+          std::to_string(budget(i)) + " VeRisc steps for " +
+          std::to_string(headers[i].raw_len) + " raw bytes)");
+    }
+    if (!status.ok()) {
+      return Status(status.code(), name(i) + ": " + status.message());
+    }
+    const Bytes& piece = outputs[i].value();
+    if (piece.size() != headers[i].raw_len ||
+        Crc32(piece) != headers[i].raw_crc) {
+      return Status::Corruption(name(i) +
+                                ": output does not match its raw length and "
+                                "CRC");
+    }
     out.insert(out.end(), piece.begin(), piece.end());
   }
   return out;
@@ -252,7 +358,11 @@ Result<std::string> RestoreEmulatedStreaming(
     const std::string& bootstrap_text, const mocoder::Options& emblem_options,
     RestoreStats* stats, verisc::VmFunction vm) {
   ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(emblem_options));
-  RestoreStats local;
+  // Counters land in `*stats` as the stages finish, so a failed restore
+  // still reports the steps it spent.
+  RestoreStats scratch;
+  RestoreStats& local = stats != nullptr ? *stats : scratch;
+  local = RestoreStats();
 
   // Step 1-2 (Fig. 2b): parse the Bootstrap; it yields the DynaRisc
   // emulator (a VeRisc program) and the MODecode program.
@@ -289,10 +399,10 @@ Result<std::string> RestoreEmulatedStreaming(
   // Step 5 (tail): the recovered DBDecode decompresses the data stream.
   ULE_ASSIGN_OR_RETURN(dynarisc::Program dbdecode,
                        dynarisc::Program::Deserialize(dbdecode_stream));
-  ULE_ASSIGN_OR_RETURN(Bytes dump,
-                       RunDbDecode(bootstrap.dynarisc_emulator, dbdecode,
-                                   container, vm, &local.emulated_steps));
-  if (stats) *stats = local;
+  ULE_ASSIGN_OR_RETURN(
+      Bytes dump,
+      RunDbDecode(bootstrap.dynarisc_emulator, dbdecode, container,
+                  emblem_options.threads, vm, &local.emulated_steps));
   return ToString(dump);
 }
 

@@ -108,7 +108,9 @@ Result<ArchiveSummary> ArchiveDumpStreaming(const std::string& sql_dump,
 struct RestoreStats {
   mocoder::DecodeStats data_stream;
   mocoder::DecodeStats system_stream;
-  uint64_t emulated_steps = 0;  ///< VeRisc instructions (emulated path)
+  /// VeRisc instructions of the emulated path: MODecode's
+  /// (system_stream.steps + data_stream.steps) plus DBDecode's.
+  uint64_t emulated_steps = 0;
 };
 
 /// \brief Fast restoration path with contemporary (C++) decoders. Frames
@@ -136,8 +138,13 @@ Result<std::string> RestoreNativeStreaming(
 /// budget: per-scan nested decodes fan out across `emblem_options.threads`
 /// pool workers with O(threads) frames in flight, so `vm` must be
 /// reentrant (true for all of AllImplementations — each run uses only
-/// local state). Output, per-stream DecodeStats and the emulated step
-/// count are byte-identical at any thread count.
+/// local state). The archived DBDecode then runs once per UDBS segment,
+/// segments in parallel on the same workers, each within a step budget
+/// derived from its raw length (ResourceExhausted naming the segment
+/// beyond it); a segment whose output misses its UDB1 raw length or CRC
+/// is Corruption. Output, per-stream DecodeStats, the emulated step count
+/// and any error are identical at any thread count. `stats` is filled as
+/// the stages finish, so a failed restore still reports what it counted.
 Result<std::string> RestoreEmulatedStreaming(
     filmstore::FrameSource& data_frames,
     filmstore::FrameSource& system_frames,

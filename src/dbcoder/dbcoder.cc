@@ -232,11 +232,24 @@ Result<Scheme> PeekScheme(BytesView container) {
     }
     return static_cast<Scheme>(container[5]);
   }
-  if (container.size() < 13) return Status::Corruption("DBCoder: too short");
-  if (ToString(BytesView(container.data(), 4)) != kMagic) {
+  ULE_ASSIGN_OR_RETURN(ContainerHeader header,
+                       ParseContainerHeader(container));
+  return header.scheme;
+}
+
+Result<ContainerHeader> ParseContainerHeader(BytesView container) {
+  if (container.size() < kContainerHeaderBytes) {
+    return Status::Corruption("DBCoder: too short");
+  }
+  if (ToString(container.first(4)) != kMagic) {
     return Status::Corruption("DBCoder: bad magic");
   }
-  return static_cast<Scheme>(container[4]);
+  ContainerHeader header;
+  header.scheme = static_cast<Scheme>(container[4]);
+  ByteReader r(container.subspan(5));
+  ULE_RETURN_IF_ERROR(r.GetU32(&header.raw_len));
+  ULE_RETURN_IF_ERROR(r.GetU32(&header.raw_crc));
+  return header;
 }
 
 bool IsSegmented(BytesView stream) {
@@ -337,7 +350,7 @@ Result<std::vector<SegmentSpan>> ListSegments(BytesView stream) {
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t len = 0;
     ULE_RETURN_IF_ERROR(lens.GetU32(&len));
-    if (len < 13 || stream_offset + len > stream.size()) {
+    if (len < kContainerHeaderBytes || stream_offset + len > stream.size()) {
       return Status::Corruption("UDBS segment " + std::to_string(i) +
                                 " overruns the stream");
     }
@@ -378,19 +391,13 @@ Result<Bytes> Decode(BytesView container) {
     }
     return raw;
   }
-  ULE_ASSIGN_OR_RETURN(Scheme scheme, PeekScheme(container));
-  ByteReader r(container);
-  Bytes magic;
-  uint8_t scheme_byte;
-  uint32_t raw_len, crc;
-  ULE_RETURN_IF_ERROR(r.GetBytes(4, &magic));
-  ULE_RETURN_IF_ERROR(r.GetU8(&scheme_byte));
-  ULE_RETURN_IF_ERROR(r.GetU32(&raw_len));
-  ULE_RETURN_IF_ERROR(r.GetU32(&crc));
-  const BytesView stream(container.data() + 13, container.size() - 13);
+  ULE_ASSIGN_OR_RETURN(ContainerHeader header,
+                       ParseContainerHeader(container));
+  const uint32_t raw_len = header.raw_len;
+  const BytesView stream = container.subspan(kContainerHeaderBytes);
 
   Bytes raw;
-  switch (scheme) {
+  switch (header.scheme) {
     case Scheme::kStore:
       if (stream.size() < raw_len) {
         return Status::Corruption("store: truncated");
@@ -416,7 +423,7 @@ Result<Bytes> Decode(BytesView container) {
   if (raw.size() != raw_len) {
     return Status::Corruption("DBCoder: length mismatch after decode");
   }
-  if (Crc32(raw) != crc) {
+  if (Crc32(raw) != header.raw_crc) {
     return Status::Corruption("DBCoder: payload CRC mismatch");
   }
   return raw;

@@ -62,6 +62,21 @@ Result<Bytes> Encode(BytesView raw, Scheme scheme);
 /// byte in the container decides). Validates the payload CRC.
 Result<Bytes> Decode(BytesView container);
 
+/// Size of a UDB1 container's header: magic, scheme byte, u32 raw
+/// length, u32 CRC-32 of the raw payload.
+inline constexpr size_t kContainerHeaderBytes = 13;
+
+/// The header fields of one UDB1 container.
+struct ContainerHeader {
+  Scheme scheme = Scheme::kStore;  ///< as recorded; may be unknown
+  uint32_t raw_len = 0;
+  uint32_t raw_crc = 0;
+};
+
+/// Parses the header of a UDB1 container (not a UDBS stream): Corruption
+/// when it is too short or its magic is wrong.
+Result<ContainerHeader> ParseContainerHeader(BytesView container);
+
 /// Peeks the scheme byte of a container without decoding (UDB1 or UDBS).
 Result<Scheme> PeekScheme(BytesView container);
 

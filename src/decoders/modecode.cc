@@ -12,14 +12,47 @@ namespace {
 /// dbdecode.cc for the register conventions shared by the archived
 /// decoders.
 ///
-/// Memory map (.equ addresses beyond the image are zero-initialised):
+/// ## Cost model
+/// A future restore runs this program on the DynaRisc interpreter, itself
+/// a VeRisc program, so what counts is VeRisc steps per DynaRisc
+/// instruction on the translated path, not DynaRisc instructions.
+/// Measured per instruction: SYS 64-66, JUMP 78, JZ/JC 90, CMP 96,
+/// AND 103, SUB 113, OR 119, SBB 124, LDI 126, XOR 129, ADD 130,
+/// LDM.B 134 (163 with post-increment), MOVE 137, STM.B 137 (166),
+/// LDM.W 167, STM.W 174, LSR #1 179, LSL #1 196, LSL #3 300, MUL 1631,
+/// and CALL + RET 227. JNZ/JNC assemble to JZ/JC over a JUMP, so a
+/// taken JNZ costs 168. Hence the hot loops keep their state in
+/// registers, never CALL, shift by one at most, and turn flags into
+/// values with SBB/ADC instead of branching on them.
+///
+/// ## Hot loops and their registers
+///   * Demodulation (`demod_rows`), per pair of half-cells: R1 threshold,
+///     R2 the byte being packed above a sentinel bit, R3 the pass count,
+///     R4 = 0, R5 the pair value -(black1 + black2), R7 = 1, D1 the coded
+///     write pointer; right-to-left rows add R6 (reversed byte) and D0
+///     (BITBUF). Two pairs per pass, no per-cell counter and no bound on
+///     the coded length: every byte of the grid is stored.
+///   * Syndromes (`syn_j`), per codeword byte: two syndromes per pass,
+///     accumulators R4 and R0, R5 = &exp[log z1] and R1 = &exp2[log z2],
+///     R2 = &log[0], R6 the byte, D1 the codeword pointer, five bytes per
+///     pass. gfmul is inlined with its zero test replaced by a sentinel:
+///     log[0] = 255 and exp[log z + 255] is zeroed while its syndrome
+///     runs.
+///
+/// ## Memory map
+/// (.equ addresses beyond the image are zero-initialised; the image must
+/// stay below 0x1400.)
 ///   0x1400  GF(256) exp table, 510 bytes (doubled to avoid mod 255)
-///   0x1600  GF(256) log table, 256 bytes
+///   0x1600  GF(256) log table, 256 bytes; log[0] = 255
 ///   0x1700  RS scratch: synd[32] lambda[33] prevb[33] tmpp[33] omega[32]
 ///   0x1800  codeword buffer, 255 bytes
 ///   0x1900  variables
-///   0x1A00  row buffer (<= 1000 bytes)
-///   0x1E00  interleaved coded bytes (blocks*255, <= 57630)
+///   0x1A00  BITBUF: reversed bytes of one right-to-left row (<= 61)
+///   0x1B00  GFEXP2: copy of the exp table for the second syndrome
+///   0x1E00  interleaved coded bytes: every whole byte of the grid,
+///           N(N-1)/16 <= 57,780 at the largest N that passes the
+///           blocks <= 226 check (962), so the writes end below 0xFFB4
+///           and the blocks*255 <= 57,630 bytes the RS stage reads
 ///   0xFFF0  stack top
 constexpr std::string_view kSource = R"(
 ; ---------------------------------------------------------------- layout
@@ -35,10 +68,10 @@ constexpr std::string_view kSource = R"(
 .equ NV,       0x1900      ; grid side N
 .equ THRV,     0x1902      ; threshold (kept in R1 during demod)
 .equ BLOCKSV,  0x1904
-.equ CODEDLENV,0x1906      ; blocks*255
-.equ CODEDPOSV,0x1908      ; bytes packed so far
-.equ ROWV,     0x190A
-.equ IVV,      0x190C      ; inner cell counter
+.equ PASSESV,  0x1906      ; (N/2 + 1) / 2: passes of a row's pair loop
+.equ ODDV,     0x1908      ; N & 1
+.equ ROWSV,    0x190A      ; demodulation rows left
+.equ PODDV,    0x190C      ; (N/2) & 1: the pair loop enters at pair 2
 .equ SALOV,    0x190E      ; 32-bit sum A (sync phase A)
 .equ SAHIV,    0x1910
 .equ SBLOV,    0x1912
@@ -46,7 +79,6 @@ constexpr std::string_view kSource = R"(
 .equ CAV,      0x1916      ; phase A cell count
 .equ CBV,      0x1918
 .equ AZV,      0x191A      ; OR of all syndromes of current block
-.equ SIV,      0x191C      ; syndrome index
 .equ BLKV,     0x191E      ; current block
 .equ BMLV,     0x1920      ; BM: L
 .equ BMMV,     0x1922      ; BM: m
@@ -59,7 +91,9 @@ constexpr std::string_view kSource = R"(
 .equ POSAV,    0x1930      ; current position a
 .equ MEANAV,   0x1932
 .equ MEANBV,   0x1934
-.equ ROWBUF,   0x1A00
+.equ PENDV,    0x1936      ; pending first half-cell between rows
+.equ BITBUF,   0x1A00
+.equ GFEXP2,   0x1B00
 .equ CODED,    0x1E00
 .equ STACKTOP, 0xFFF0
 
@@ -130,9 +164,30 @@ div255_done:
       LDI   R6, #BLOCKSV
       MOVE  D2, R6
       STM.W R5, [D2]
-      LDI   R7, #255
-      MUL   R5, R7
-      LDI   R6, #CODEDLENV
+      ; row geometry of the demodulation loops
+      LDI   R6, #NV
+      MOVE  D2, R6
+      LDM.W R5, [D2]
+      LDI   R7, #1
+      MOVE  R4, R5
+      AND   R4, R7
+      LDI   R6, #ODDV
+      MOVE  D2, R6
+      STM.W R4, [D2]
+      MOVE  R4, R5
+      LSR   R4, #1           ; whole pairs per row
+      MOVE  R3, R4
+      AND   R3, R7
+      LDI   R6, #PODDV
+      MOVE  D2, R6
+      STM.W R3, [D2]
+      ADD   R4, R7
+      LSR   R4, #1
+      LDI   R6, #PASSESV
+      MOVE  D2, R6
+      STM.W R4, [D2]
+      SUB   R5, R7
+      LDI   R6, #ROWSV
       MOVE  D2, R6
       STM.W R5, [D2]
       CALL  sync_row
@@ -191,6 +246,23 @@ gfi_dup:
       LDI   R7, #255
       CMP   R5, R7
       JNZ   gfi_dup
+      ; log[0] = 255: the syndrome loop's zero sentinel
+      LDI   R6, #GFLOG
+      MOVE  D2, R6
+      LDI   R7, #255
+      STM.B R7, [D2]
+      ; the syndrome loop's second copy of the exp table
+      LDI   R6, #GFEXP
+      MOVE  D0, R6
+      LDI   R6, #GFEXP2
+      MOVE  D1, R6
+      LDI   R5, #255         ; words
+      LDI   R7, #1
+gfi_copy:
+      LDM.W R6, [D0+]
+      STM.W R6, [D1+]
+      SUB   R5, R7
+      JNZ   gfi_copy
       RET
 
 ; gfmul: R6 = R6 * R7 in GF(256). Clobbers R0, R7, D2.
@@ -370,165 +442,245 @@ div32_done:
       RET
 
 ; ----------------------------------------------------------- demodulate
-; Rows 1..N-1 arrive row-major; the serpentine alternates direction.
-; R1 = threshold, R2 = packing byte, R3 = bit count in R2,
-; R4 = half-flag, R5 = first-half level, D1 = coded write pointer.
+; Rows 1..N-1 arrive row-major; the serpentine runs odd rows left to
+; right and even rows right to left. A bit is the XOR of its two
+; half-cells (differential Manchester), so a pair of cells reads the
+; same in either direction, and a right-to-left row can be demodulated
+; as it arrives: its bits are packed into "reversed" bytes in BITBUF and
+; then shifted out last byte first, low bit first, which is stream
+; order. With odd N a pair straddles every row boundary; its first half
+; waits in PENDV.
+;
+; A half-cell is black when its intensity is below the threshold: CMP
+; sets C and SBB turns C into 0 or -1, so a pair leaves -(black1 +
+; black2) in R5, whose low bit is the data bit. LSR #1 moves that bit
+; into C and ADC shifts it into the byte being packed, below a sentinel:
+; a packing register starts at 0x100, and the eighth ADC carries the
+; sentinel out when its byte is complete. Pair loops run two pairs per
+; pass and enter at the second when the row has an odd pair count.
+;
+; R0 = input, R1 = threshold, R2 = stream byte being packed, R3 = pass
+; count / BITBUF read pointer, R4 = 0, R5 = pair value, R6 = reversed
+; byte being packed, R7 = 1, D0 = BITBUF write pointer, D1 = coded
+; write pointer.
 demod_rows:
       LDI   R6, #THRV
       MOVE  D2, R6
       LDM.W R1, [D2]
-      LDI   R2, #0
-      LDI   R3, #0
+      LDI   R2, #0x100
       LDI   R4, #0
+      LDI   R7, #1
       LDI   R6, #CODED
       MOVE  D1, R6
-      LDI   R6, #ROWV
+drow_fwd:
+      LDI   R6, #PASSESV
       MOVE  D2, R6
-      LDI   R7, #1
-      STM.W R7, [D2]
-drow_loop:
-      ; read one row into ROWBUF
-      LDI   R6, #ROWBUF
-      MOVE  D0, R6
-      LDI   R6, #NV
+      LDM.W R3, [D2]
+      LDI   R6, #PODDV
       MOVE  D2, R6
-      LDM.W R7, [D2]
-drow_read:
+      LDM.W R6, [D2]
+      JNZ   fw_pair2
+fw_pair1:
       SYS   #0
-      STM.B R0, [D0+]
-      LDI   R6, #1
-      SUB   R7, R6
-      JNZ   drow_read
-      ; IV = N
-      LDI   R6, #NV
-      MOVE  D2, R6
-      LDM.W R7, [D2]
-      LDI   R6, #IVV
-      MOVE  D2, R6
-      STM.W R7, [D2]
-      ; direction = (row - 1) & 1
-      LDI   R6, #ROWV
-      MOVE  D2, R6
-      LDM.W R6, [D2]
-      LDI   R7, #1
-      SUB   R6, R7
-      AND   R6, R7
-      JZ    drow_forward
-      ; ------- backward row: D0 = ROWBUF + N, pre-decrement
-      LDI   R6, #NV
-      MOVE  D2, R6
-      LDM.W R6, [D2]
-      LDI   R7, #ROWBUF
-      ADD   R6, R7
-      MOVE  D0, R6
-bcell:
-      MOVE  R6, D0
-      LDI   R7, #1
-      SUB   R6, R7
-      MOVE  D0, R6
-      LDM.B R6, [D0]
-      CMP   R6, R1
-      JC    bcell_black
-      LDI   R6, #0
-      JUMP  bcell_have
-bcell_black:
-      LDI   R6, #1
-bcell_have:
-      CALL  half_cell
-      LDI   R6, #IVV
-      MOVE  D2, R6
-      LDM.W R7, [D2]
-      LDI   R6, #1
-      SUB   R7, R6
-      LDI   R6, #IVV
-      MOVE  D2, R6
-      STM.W R7, [D2]
-      LDI   R6, #0
-      CMP   R7, R6           ; LDI/MOVE update Z; re-test the counter
-      JNZ   bcell
-      JUMP  drow_next
-      ; ------- forward row
-drow_forward:
-      LDI   R6, #ROWBUF
-      MOVE  D0, R6
-fcell:
-      LDM.B R6, [D0+]
-      CMP   R6, R1
-      JC    fcell_black
-      LDI   R6, #0
-      JUMP  fcell_have
-fcell_black:
-      LDI   R6, #1
-fcell_have:
-      CALL  half_cell
-      LDI   R6, #IVV
-      MOVE  D2, R6
-      LDM.W R7, [D2]
-      LDI   R6, #1
-      SUB   R7, R6
-      LDI   R6, #IVV
-      MOVE  D2, R6
-      STM.W R7, [D2]
-      LDI   R6, #0
-      CMP   R7, R6           ; LDI/MOVE update Z; re-test the counter
-      JNZ   fcell
-drow_next:
-      ; ++row; stop when row == N
-      LDI   R6, #ROWV
+      CMP   R0, R1
+      SBB   R5, R5
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R4
+      LSR   R5, #1
+      ADC   R2, R2
+      JC    fw_byte1
+fw_pair2:
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R5
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R4
+      LSR   R5, #1
+      ADC   R2, R2
+      JC    fw_byte2
+fw_next:
+      SUB   R3, R7
+      JNZ   fw_pair1
+      ; odd N: the row's last half-cell opens a pair the next row closes
+      LDI   R6, #ODDV
       MOVE  D2, R6
       LDM.W R6, [D2]
-      LDI   R7, #1
-      ADD   R6, R7
-      LDI   R7, #ROWV
-      MOVE  D2, R7
-      STM.W R6, [D2]
-      LDI   R7, #NV
-      MOVE  D2, R7
-      LDM.W R7, [D2]
-      CMP   R6, R7
-      JNZ   drow_loop
-      RET
-
-; half_cell: consumes one demodulated cell level in R6. Differential
-; Manchester: a bit is the XOR of its two half-cells. Preserves R1;
-; clobbers R0, R6, R7, D2.
-half_cell:
-      LDI   R7, #0
-      CMP   R4, R7
-      JNZ   half_second
-      MOVE  R5, R6
-      LDI   R4, #1
-      RET
-half_second:
-      LDI   R4, #0
-      XOR   R6, R5           ; bit
-      ; drop bits beyond the coded stream
-      LDI   R7, #CODEDPOSV
-      MOVE  D2, R7
-      LDM.W R7, [D2]
-      LDI   R0, #CODEDLENV
-      MOVE  D2, R0
-      LDM.W R0, [D2]
-      CMP   R7, R0
-      JNC   half_ret         ; pos >= len
-      LSL   R2, #1
-      OR    R2, R6
-      LDI   R7, #1
-      ADD   R3, R7
-      LDI   R7, #8
-      CMP   R3, R7
-      JNZ   half_ret
+      JZ    fw_done
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R5
+      LDI   R6, #PENDV
+      MOVE  D2, R6
+      STM.W R5, [D2]
+fw_done:
+      CALL  drow_count
+      JZ    drow_done
+      ; right-to-left row: reversed bytes into BITBUF
+      LDI   R6, #BITBUF
+      MOVE  D0, R6
+      LDI   R6, #PASSESV
+      MOVE  D2, R6
+      LDM.W R3, [D2]
+      LDI   R6, #0x100
+      LDI   R5, #PODDV
+      MOVE  D2, R5
+      LDM.W R5, [D2]
+      JNZ   bw_pair2
+bw_pair1:
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R5
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R4
+      LSR   R5, #1
+      ADC   R6, R6
+      JC    bw_store1
+bw_pair2:
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R5
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R4
+      LSR   R5, #1
+      ADC   R6, R6
+      JC    bw_store2
+bw_next:
+      SUB   R3, R7
+      JNZ   bw_pair1
+      ; odd N: the rightmost half-cell closes the pending pair; its bit
+      ; is the row's first in stream order
+      LDI   R5, #ODDV
+      MOVE  D2, R5
+      LDM.W R5, [D2]
+      JZ    bw_tail
+      LDI   R5, #PENDV
+      MOVE  D2, R5
+      LDM.W R5, [D2]
+      SYS   #0
+      CMP   R0, R1
+      SBB   R5, R4
+      LSR   R5, #1
+      ADC   R6, R6
+      JNC   bw_tail
+      STM.B R6, [D0+]
+      LDI   R6, #0x100
+bw_tail:
+      ; the partial reversed byte holds the row's first bits
+      LDI   R5, #0x100
+bw_part:
+      CMP   R6, R5
+      JZ    bw_whole
+      LSR   R6, #1
+      ADC   R2, R2
+      JNC   bw_part
       STM.B R2, [D1+]
-      LDI   R3, #0
-      LDI   R7, #CODEDPOSV
-      MOVE  D2, R7
-      LDM.W R7, [D2]
-      LDI   R6, #1
-      ADD   R7, R6
-      LDI   R6, #CODEDPOSV
+      LDI   R2, #0x100
+      JUMP  bw_part
+bw_whole:
+      ; then the whole reversed bytes, last stored first
+      MOVE  R3, D0
+      LDI   R5, #BITBUF
+bw_rbyte:
+      CMP   R3, R5
+      JZ    bw_done
+      SUB   R3, R7
+      MOVE  D2, R3
+      LDM.B R6, [D2]
+      LSR   R6, #1
+      ADC   R2, R2
+      JC    bw_out1
+bw_in1:
+      LSR   R6, #1
+      ADC   R2, R2
+      JC    bw_out2
+bw_in2:
+      LSR   R6, #1
+      ADC   R2, R2
+      JC    bw_out3
+bw_in3:
+      LSR   R6, #1
+      ADC   R2, R2
+      JC    bw_out4
+bw_in4:
+      LSR   R6, #1
+      ADC   R2, R2
+      JC    bw_out5
+bw_in5:
+      LSR   R6, #1
+      ADC   R2, R2
+      JC    bw_out6
+bw_in6:
+      LSR   R6, #1
+      ADC   R2, R2
+      JC    bw_out7
+bw_in7:
+      LSR   R6, #1
+      ADC   R2, R2
+      JNC   bw_rbyte
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_rbyte
+bw_done:
+      CALL  drow_count
+      JNZ   drow_fwd
+drow_done:
+      RET
+fw_byte1:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  fw_pair2
+fw_byte2:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  fw_next
+bw_store1:
+      STM.B R6, [D0+]
+      LDI   R6, #0x100
+      JUMP  bw_pair2
+bw_store2:
+      STM.B R6, [D0+]
+      LDI   R6, #0x100
+      JUMP  bw_next
+bw_out1:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_in1
+bw_out2:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_in2
+bw_out3:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_in3
+bw_out4:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_in4
+bw_out5:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_in5
+bw_out6:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_in6
+bw_out7:
+      STM.B R2, [D1+]
+      LDI   R2, #0x100
+      JUMP  bw_in7
+
+; drow_count: one row done; Z = 1 when it was the last. Clobbers R6, D2.
+drow_count:
+      LDI   R6, #ROWSV
       MOVE  D2, R6
-      STM.W R7, [D2]
-half_ret:
+      LDM.W R6, [D2]
+      SUB   R6, R7
+      STM.W R6, [D2]
       RET
 
 ; ------------------------------------------------------------ RS blocks
@@ -541,86 +693,163 @@ blk_loop:
       ; gather codeword: cw[j] = coded[j*blocks + blk]
       LDI   R6, #BLKV
       MOVE  D2, R6
-      LDM.W R4, [D2]         ; idx = blk
+      LDM.W R4, [D2]
+      LDI   R6, #CODED
+      ADD   R4, R6           ; &coded[blk]
       LDI   R6, #BLOCKSV
       MOVE  D2, R6
-      LDM.W R2, [D2]         ; step
+      LDM.W R2, [D2]         ; stride
       LDI   R6, #CWBUF
       MOVE  D0, R6
       LDI   R5, #255
+      LDI   R7, #1
 gather:
-      MOVE  R6, R4
-      LDI   R7, #CODED
-      ADD   R6, R7
-      MOVE  D2, R6
+      MOVE  D2, R4
       LDM.B R6, [D2]
       STM.B R6, [D0+]
       ADD   R4, R2
-      LDI   R7, #1
       SUB   R5, R7
       JNZ   gather
-      ; syndromes S_i = cw evaluated at alpha^(i+1), i = 0..31
+      ; syndromes S_i = cw(alpha^(i+1)), i = 0..31, two per pass, by
+      ; Horner: acc = acc * z ^ cw[j], where acc * z = exp[log acc +
+      ; log z]. R4/R5 = acc and &exp[log z] of the pass's first
+      ; syndrome, R0/R1 = acc and &exp2[log z] of its second, which reads
+      ; the copy of the exp table at GFEXP2. log[0] is 255 and each
+      ; table's exp[log z + 255] is zeroed while the pass runs, so a zero
+      ; acc needs no test; no other acc reaches that entry
+      ; (log acc <= 254).
+      LDI   R6, #SYND
+      MOVE  D0, R6
       LDI   R6, #AZV
       MOVE  D2, R6
-      LDI   R7, #0
-      STM.W R7, [D2]
-      LDI   R6, #SIV
-      MOVE  D2, R6
-      STM.W R7, [D2]
+      LDI   R4, #0
+      STM.W R4, [D2]
+      LDI   R2, #GFLOG
+      LDI   R5, #GFEXP+1
+      LDI   R1, #GFEXP2+2
 syn_loop:
-      LDI   R6, #SIV
+      LDI   R0, #0
+      LDI   R6, #255
+      ADD   R6, R5
       MOVE  D2, R6
-      LDM.W R6, [D2]
-      LDI   R7, #GFEXP
-      ADD   R6, R7
-      LDI   R7, #1
-      ADD   R6, R7
+      STM.B R0, [D2]
+      LDI   R6, #255
+      ADD   R6, R1
       MOVE  D2, R6
-      LDM.B R5, [D2]         ; z = exp[i+1]
-      LDI   R4, #0           ; acc
+      STM.B R0, [D2]
+      LDI   R4, #0
       LDI   R6, #CWBUF
       MOVE  D1, R6
-      LDI   R3, #255
+      LDI   R3, #51          ; 255 bytes, five per pass
 syn_j:
-      MOVE  R6, R4
-      MOVE  R7, R5
-      CALL  gfmul
-      LDM.B R1, [D1+]
-      XOR   R6, R1
-      MOVE  R4, R6
-      LDI   R7, #1
+      LDM.B R6, [D1+]
+      ADD   R4, R2
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      ADD   R4, R5
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      XOR   R4, R6
+      ADD   R0, R2
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      ADD   R0, R1
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      XOR   R0, R6
+      LDM.B R6, [D1+]
+      ADD   R4, R2
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      ADD   R4, R5
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      XOR   R4, R6
+      ADD   R0, R2
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      ADD   R0, R1
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      XOR   R0, R6
+      LDM.B R6, [D1+]
+      ADD   R4, R2
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      ADD   R4, R5
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      XOR   R4, R6
+      ADD   R0, R2
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      ADD   R0, R1
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      XOR   R0, R6
+      LDM.B R6, [D1+]
+      ADD   R4, R2
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      ADD   R4, R5
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      XOR   R4, R6
+      ADD   R0, R2
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      ADD   R0, R1
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      XOR   R0, R6
+      LDM.B R6, [D1+]
+      ADD   R4, R2
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      ADD   R4, R5
+      MOVE  D2, R4
+      LDM.B R4, [D2]
+      XOR   R4, R6
+      ADD   R0, R2
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      ADD   R0, R1
+      MOVE  D2, R0
+      LDM.B R0, [D2]
+      XOR   R0, R6
       SUB   R3, R7
       JNZ   syn_j
-      ; store synd[i], accumulate the all-zero check
-      LDI   R6, #SIV
-      MOVE  D2, R6
-      LDM.W R6, [D2]
-      LDI   R7, #SYND
-      ADD   R6, R7
-      MOVE  D2, R6
-      STM.B R4, [D2]
+      STM.B R4, [D0+]        ; synd[i], synd[i+1]
+      STM.B R0, [D0+]
+      OR    R4, R0
       LDI   R6, #AZV
       MOVE  D2, R6
-      LDM.W R6, [D2]
-      OR    R6, R4
-      STM.W R6, [D2]
-      LDI   R6, #SIV
+      LDM.W R0, [D2]
+      OR    R0, R4
+      STM.W R0, [D2]
+      ; restore exp[log z + 255] = exp[log z] in both tables
+      MOVE  D2, R5
+      LDM.B R4, [D2]
+      LDI   R6, #255
+      ADD   R6, R5
       MOVE  D2, R6
-      LDM.W R6, [D2]
-      LDI   R7, #1
-      ADD   R6, R7
-      LDI   R7, #SIV
-      MOVE  D2, R7
-      STM.W R6, [D2]
-      LDI   R7, #32
-      CMP   R6, R7
+      STM.B R4, [D2]
+      MOVE  D2, R1
+      LDM.B R4, [D2]
+      LDI   R6, #255
+      ADD   R6, R1
+      MOVE  D2, R6
+      STM.B R4, [D2]
+      LDI   R6, #2
+      ADD   R5, R6
+      ADD   R1, R6
+      LDI   R6, #GFEXP+33
+      CMP   R5, R6
       JNZ   syn_loop
       ; clean block?
       LDI   R6, #AZV
       MOVE  D2, R6
       LDM.W R6, [D2]
-      LDI   R7, #0
-      CMP   R6, R7
       JZ    blk_emit
       CALL  berlekamp
       CALL  chien_forney
@@ -629,20 +858,17 @@ blk_emit:
       LDI   R6, #CWBUF
       MOVE  D1, R6
       LDI   R5, #223
+      LDI   R7, #1
 emit_j:
       LDM.B R0, [D1+]
       SYS   #1
-      LDI   R7, #1
       SUB   R5, R7
       JNZ   emit_j
       ; next block
       LDI   R6, #BLKV
       MOVE  D2, R6
       LDM.W R6, [D2]
-      LDI   R7, #1
       ADD   R6, R7
-      LDI   R7, #BLKV
-      MOVE  D2, R7
       STM.W R6, [D2]
       LDI   R7, #BLOCKSV
       MOVE  D2, R7

@@ -20,9 +20,10 @@
 /// On unrecoverable damage (an RS block beyond 16 errors) the program
 /// halts early; truncated output signals the failure.
 ///
-/// Implementation limit: N <= 1000 (blocks <= 226), so the interleaved
+/// Implementation limit: blocks <= 226, i.e. N <= 962, so the interleaved
 /// codeword buffer fits the 16-bit address space. Paper-scale emblems
-/// (N = 942 on A4, N = 962 on microfilm) fit.
+/// (N = 942 on A4, N = 962 on microfilm) fit; a larger N halts with no
+/// output.
 
 #ifndef ULE_DECODERS_MODECODE_H_
 #define ULE_DECODERS_MODECODE_H_

@@ -117,16 +117,50 @@ Bytes GridToIntensities(const mocoder::CellGrid& grid, int n) {
   return out;
 }
 
+/// One MODecode conformance case. `flipped_cells` destroys random cells
+/// (mid-gray); `errors_per_block` corrupts exactly that many distinct
+/// codeword bytes in every RS block by inverting one half-cell of each
+/// (16 is the RS(255,223) correction limit); `halt_block` >= 0 instead
+/// puts 17 byte errors into that block only, so MODecode must emit the
+/// blocks before it and halt.
 struct EmblemCase {
   int n;
-  int flipped_cells;  // number of destroyed cells (mid-gray)
+  int flipped_cells;
+  int errors_per_block = 0;
+  int halt_block = -1;
 };
+
+/// Inverts the first half-cell of coded byte `index` of an N x N
+/// intensity grid, which flips that byte's first bit. Data cells run
+/// serpentine over rows 1..N-1, two half-cells per bit, MSB first.
+void InvertCodedByte(Bytes* cells, int n, size_t index) {
+  const size_t k = index * 16;
+  const size_t row = k / static_cast<size_t>(n);
+  const size_t col = k % static_cast<size_t>(n);
+  const size_t x = row % 2 == 0 ? col : static_cast<size_t>(n) - 1 - col;
+  uint8_t& cell = (*cells)[(1 + row) * static_cast<size_t>(n) + x];
+  cell = cell < 128 ? 240 : 12;
+}
+
+/// Corrupts `count` distinct codeword bytes of RS block `block`.
+void CorruptBlock(Bytes* cells, int n, int block, int count, Rng* rng) {
+  const int blocks = mocoder::EmblemBlocks(n);
+  std::vector<int> positions(255);
+  for (int j = 0; j < 255; ++j) positions[j] = j;
+  for (int j = 0; j < count; ++j) {
+    std::swap(positions[j], positions[j + rng->Below(255 - j)]);
+    InvertCodedByte(cells, n,
+                    static_cast<size_t>(positions[j]) * blocks + block);
+  }
+}
 
 class ModecodeConformance : public ::testing::TestWithParam<EmblemCase> {};
 
 TEST_P(ModecodeConformance, MatchesNativeDecoder) {
-  const auto [n, flipped] = GetParam();
-  Rng rng(static_cast<uint64_t>(n) * 31 + static_cast<uint64_t>(flipped));
+  const EmblemCase c = GetParam();
+  const int n = c.n;
+  Rng rng(static_cast<uint64_t>(n) * 31 +
+          static_cast<uint64_t>(c.flipped_cells));
   const int cap = mocoder::EmblemCapacity(n);
   ASSERT_GT(cap, 0);
   Bytes payload = RandomBytes(&rng, static_cast<size_t>(cap));
@@ -139,20 +173,37 @@ TEST_P(ModecodeConformance, MatchesNativeDecoder) {
   auto grid = mocoder::BuildEmblem(h, payload, n);
   ASSERT_TRUE(grid.ok());
   Bytes cells = GridToIntensities(grid.value(), n);
-  for (int i = 0; i < flipped; ++i) {
+  for (int i = 0; i < c.flipped_cells; ++i) {
     cells[rng.Below(cells.size())] = 128;
   }
+  const int blocks = mocoder::EmblemBlocks(n);
+  if (c.errors_per_block > 0) {
+    for (int b = 0; b < blocks; ++b) {
+      CorruptBlock(&cells, n, b, c.errors_per_block, &rng);
+    }
+  }
+  if (c.halt_block >= 0) CorruptBlock(&cells, n, c.halt_block, 17, &rng);
 
   // Native reference decode (payload-level).
   mocoder::EmblemHeader native_h;
-  auto native = mocoder::DecodeEmblemIntensities(cells, n, &native_h);
-  ASSERT_TRUE(native.ok()) << native.status().ToString();
+  mocoder::EmblemDecodeInfo info;
+  auto native = mocoder::DecodeEmblemIntensities(cells, n, &native_h, &info);
 
   // DynaRisc MODecode produces the full container.
   const Bytes input = PackModecodeInput(cells, n);
   auto out = dynarisc::RunProgram(ModecodeProgram(), input);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  const int blocks = mocoder::EmblemBlocks(n);
+  if (c.halt_block >= 0) {
+    // Beyond the correction limit: the native decoder refuses the emblem
+    // and MODecode halts after the blocks before the bad one.
+    EXPECT_FALSE(native.ok());
+    EXPECT_EQ(out.value().size(), static_cast<size_t>(c.halt_block) * 223);
+    return;
+  }
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
+  if (c.errors_per_block > 0) {
+    EXPECT_EQ(info.rs_errors_corrected, blocks * c.errors_per_block);
+  }
   ASSERT_EQ(out.value().size(), static_cast<size_t>(blocks) * 223);
   // Container = header + payload (+ padding).
   auto parsed = mocoder::ParseHeader(out.value());
@@ -169,7 +220,59 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EmblemCase{65, 0}, EmblemCase{65, 8},
                       EmblemCase{80, 0}, EmblemCase{80, 20},
                       EmblemCase{128, 0}, EmblemCase{128, 40},
-                      EmblemCase{128, 60}));
+                      EmblemCase{128, 60},
+                      // Microfilm geometry: odd N, 142 blocks.
+                      EmblemCase{763, 0}, EmblemCase{763, 0, 16},
+                      EmblemCase{763, 0, 0, 7},
+                      // The largest N MODecode takes: 226 blocks fill the
+                      // coded buffer up to the stack.
+                      EmblemCase{962, 0}, EmblemCase{962, 0, 16}));
+
+TEST(ModecodeTest, GridBeyondTheMemoryMapHalts) {
+  // N = 1000 needs 244 RS blocks, more than the 64 KB map holds: the
+  // native decoder takes it, MODecode halts with no output.
+  const int n = 1000;
+  Rng rng(10);
+  const int cap = mocoder::EmblemCapacity(n);
+  Bytes payload = RandomBytes(&rng, static_cast<size_t>(cap));
+  mocoder::EmblemHeader h;
+  h.payload_crc = Crc32(payload);
+  h.stream_len = static_cast<uint32_t>(cap);
+  auto grid = mocoder::BuildEmblem(h, payload, n);
+  ASSERT_TRUE(grid.ok());
+  const Bytes cells = GridToIntensities(grid.value(), n);
+  mocoder::EmblemHeader native_h;
+  auto native = mocoder::DecodeEmblemIntensities(cells, n, &native_h);
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
+  EXPECT_EQ(native.value(), payload);
+  auto out =
+      dynarisc::RunProgram(ModecodeProgram(), PackModecodeInput(cells, n));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(out.value().empty());
+}
+
+TEST(ModecodeTest, PinnedInstructionCountOnCleanEmblem) {
+  // The emulated restore's cost is MODecode's cost: a slower MODecode
+  // must fail here, not only in the benchmark. On a clean emblem the
+  // count does not depend on the payload. Update it deliberately: it was
+  // 1,386,773 before the rewrite for the VeRisc cost model (167.7 M
+  // VeRisc steps on the translated path; 40.9 M after).
+  const int n = 128;
+  Rng rng(11);
+  const int cap = mocoder::EmblemCapacity(n);
+  Bytes payload = RandomBytes(&rng, static_cast<size_t>(cap));
+  mocoder::EmblemHeader h;
+  h.payload_crc = Crc32(payload);
+  h.stream_len = static_cast<uint32_t>(cap);
+  auto grid = mocoder::BuildEmblem(h, payload, n);
+  ASSERT_TRUE(grid.ok());
+  const Bytes input = PackModecodeInput(GridToIntensities(grid.value(), n), n);
+  dynarisc::Machine machine(ModecodeProgram(), input);
+  const dynarisc::RunResult r = machine.Run();
+  ASSERT_EQ(r.reason, dynarisc::StopReason::kHalted);
+  ASSERT_EQ(r.output.size(), 3u * 223);
+  EXPECT_EQ(r.steps, 326714u);
+}
 
 TEST(ModecodeTest, SystemEmblemDecodes) {
   const int n = 65;

@@ -8,11 +8,17 @@
 
 #include "core/micr_olonys.h"
 #include "dbcoder/dbcoder.h"
+#include "decoders/dbdecode.h"
+#include "decoders/modecode.h"
+#include "dynarisc/assembler.h"
 #include "filmstore/container.h"
 #include "filmstore/frame_store.h"
 #include "filmstore/reel_reader.h"
 #include "media/scanner.h"
 #include "minidb/sqldump.h"
+#include "olonys/bootstrap.h"
+#include "olonys/dynarisc_in_verisc.h"
+#include "support/crc32.h"
 #include "support/io.h"
 #include "tests/golden.h"
 #include "tests/testutil.h"
@@ -222,13 +228,163 @@ TEST(EndToEndTest, EmulatedRestoreOfSegmentedArchive) {
   ASSERT_TRUE(segments.ok()) << segments.status().ToString();
   EXPECT_GE(segments.value().size(), 2u);
 
-  RestoreStats stats;
-  auto restored = RestoreEmulatedFromStore(
-      store, summary.value().bootstrap_text, summary.value().emblem_options,
-      &stats);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value(), dump);
-  EXPECT_GT(stats.emulated_steps, 0u);
+  // Segments run in parallel: the dump, the stats and the step count
+  // must not depend on the thread count.
+  RestoreStats stats[2];
+  const int thread_counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    mocoder::Options options = summary.value().emblem_options;
+    options.threads = thread_counts[i];
+    auto restored = RestoreEmulatedFromStore(
+        store, summary.value().bootstrap_text, options, &stats[i]);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value(), dump) << "threads " << thread_counts[i];
+  }
+  ExpectSameStats(stats[1].data_stream, stats[0].data_stream);
+  ExpectSameStats(stats[1].system_stream, stats[0].system_stream);
+  EXPECT_GT(stats[0].emulated_steps,
+            stats[0].system_stream.steps + stats[0].data_stream.steps);
+  EXPECT_EQ(stats[1].emulated_steps, stats[0].emulated_steps);
+}
+
+/// Writes `data_stream` and the serialized `dbdecode` as the data and
+/// system streams of an in-memory reel, the way ArchiveDumpStreaming
+/// does, and returns the Bootstrap text. Lets a test put any recovered
+/// stream, or any archived DBDecode, in front of the emulated restore.
+std::string ArchiveStreams(BytesView data_stream,
+                           const dynarisc::Program& dbdecode,
+                           const mocoder::Options& options,
+                           filmstore::MemoryStore* store) {
+  const Bytes system_stream = dbdecode.Serialize();
+  for (const auto& [stream, id] :
+       {std::pair<BytesView, StreamId>(data_stream, StreamId::kData),
+        std::pair<BytesView, StreamId>(system_stream, StreamId::kSystem)}) {
+    const Status s = mocoder::EncodeToSink(
+        stream, id, options, /*render=*/true,
+        [&, id = id](mocoder::EncodedEmblem&& emblem, media::Image&& frame) {
+          return store->Append(id, emblem, std::move(frame));
+        });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  return olonys::GenerateBootstrapText(olonys::DynaRiscInterpreter(),
+                                       decoders::ModecodeProgram());
+}
+
+/// A segmented LZAC stream of a small dump, cut into `count` segments.
+Bytes SegmentedStream(size_t count, std::vector<dbcoder::SegmentSpan>* spans) {
+  std::string dump;
+  for (int i = 0; dump.size() < 400; ++i) {
+    dump += "INSERT INTO t VALUES (" + std::to_string(i * 7919 % 1000) + ");\n";
+  }
+  const size_t step = dump.size() / count;
+  spans->assign(count, {});
+  for (size_t i = 0; i < count; ++i) {
+    (*spans)[i].raw_offset = i * step;
+    (*spans)[i].raw_len = i + 1 < count ? step : dump.size() - i * step;
+  }
+  auto stream =
+      dbcoder::EncodeSegmented(ToBytes(dump), dbcoder::Scheme::kLzac, spans);
+  EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+  return stream.value();
+}
+
+mocoder::Options TinyEmblems(int threads) {
+  mocoder::Options options;
+  options.data_side = 65;  // smallest emblems: fastest emulation
+  options.threads = threads;
+  return options;
+}
+
+/// Emulated restore of `store` at threads 1 and 4: both must fail with the
+/// same Status, which is returned.
+Status ExpectSameFailureAtOneAndFourThreads(const filmstore::MemoryStore& store,
+                                            const std::string& bootstrap) {
+  Status first;
+  for (const int threads : {1, 4}) {
+    RestoreStats stats;
+    auto restored =
+        RestoreEmulatedFromStore(store, bootstrap, TinyEmblems(threads), &stats);
+    EXPECT_FALSE(restored.ok()) << "threads " << threads;
+    if (restored.ok()) return Status::OK();
+    if (threads == 1) {
+      first = restored.status();
+    } else {
+      EXPECT_EQ(restored.status().ToString(), first.ToString());
+    }
+  }
+  return first;
+}
+
+TEST(EndToEndTest, EmulatedDbDecodeReportsTheLowestFailingSegment) {
+  // Two segments of the recovered stream are corrupted behind intact
+  // emblems: their decoded bytes miss their UDB1 CRCs. Segments run in
+  // parallel, and the lower-index failure must win at any thread count.
+  std::vector<dbcoder::SegmentSpan> spans;
+  Bytes stream = SegmentedStream(5, &spans);
+  for (const size_t bad : {1u, 3u}) {
+    stream[spans[bad].stream_offset + dbcoder::kContainerHeaderBytes + 2] ^=
+        0x5A;
+  }
+  filmstore::MemoryStore store;
+  const std::string bootstrap = ArchiveStreams(
+      stream, decoders::DbDecodeProgram(), TinyEmblems(1), &store);
+  const Status status = ExpectSameFailureAtOneAndFourThreads(store, bootstrap);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("DBDecode segment 1 of 5"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(EndToEndTest, ForgedSegmentTableFailsBeforeDbDecodeRuns) {
+  // A segment table that disagrees with its UDB1 headers, or a segment
+  // that is no UDB1 container, is Corruption before any DBDecode step.
+  std::vector<dbcoder::SegmentSpan> spans;
+  const Bytes valid = SegmentedStream(4, &spans);
+  const size_t table_end = 20 + spans.size() * 4 + 4;
+
+  Bytes forged_total = valid;
+  forged_total[12] ^= 1;  // raw total (u64 at offset 12), CRC re-sealed
+  const uint32_t crc = Crc32(BytesView(forged_total).first(table_end - 4));
+  for (int b = 0; b < 4; ++b) {
+    forged_total[table_end - 4 + b] = static_cast<uint8_t>(crc >> (8 * b));
+  }
+  Bytes forged_magic = valid;
+  forged_magic[spans[2].stream_offset] = 'X';  // "UDB1" -> "XDB1"
+
+  for (const Bytes& stream : {forged_total, forged_magic}) {
+    filmstore::MemoryStore store;
+    const std::string bootstrap = ArchiveStreams(
+        stream, decoders::DbDecodeProgram(), TinyEmblems(4), &store);
+    RestoreStats stats;
+    auto restored =
+        RestoreEmulatedFromStore(store, bootstrap, TinyEmblems(4), &stats);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+        << restored.status().ToString();
+    EXPECT_GT(stats.data_stream.steps, 0u);
+    EXPECT_EQ(stats.emulated_steps,
+              stats.system_stream.steps + stats.data_stream.steps);
+  }
+}
+
+TEST(EndToEndTest, SpinningDbDecodeStopsAtItsSegmentBudget) {
+  // An archived "DBDecode" that never halts is stopped by each segment's
+  // budget (startup allowance + raw length x steps per byte), long before
+  // the fixed cap, and the error names the lowest segment.
+  auto spin = dynarisc::Assemble(".entry main\nmain:\n      JUMP  main\n");
+  ASSERT_TRUE(spin.ok()) << spin.status().ToString();
+  std::vector<dbcoder::SegmentSpan> spans;
+  const Bytes stream = SegmentedStream(3, &spans);
+  filmstore::MemoryStore store;
+  const std::string bootstrap =
+      ArchiveStreams(stream, spin.value(), TinyEmblems(1), &store);
+  const Status status = ExpectSameFailureAtOneAndFourThreads(store, bootstrap);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+      << status.ToString();
+  EXPECT_NE(status.message().find("DBDecode segment 0 of 3 ran out of its "
+                                  "step budget"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(EndToEndTest, ParallelArchiveAndRestoreMatchSerialByteForByte) {
@@ -404,6 +560,11 @@ TEST(GoldenArchiveTest, C1RestoresThroughItsOwnBootstrap) {
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   auto bootstrap = reel.value()->ReadBootstrap();
   ASSERT_TRUE(bootstrap.ok()) << bootstrap.status().ToString();
+  // The golden predates the MODecode rewrite, so the old decoder is
+  // provably the one that runs.
+  auto parsed = olonys::ParseBootstrapText(bootstrap.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_NE(parsed.value().mocoder.image, decoders::ModecodeProgram().image);
 
   RestoreStats stats[2];
   const int thread_counts[2] = {1, 4};

@@ -547,8 +547,14 @@ int RunRestore(const Args& args) {
               stats.system_stream.emblems_total,
               stats.system_stream.emblems_recovered);
   if (args.emulated) {
-    std::printf("  emulated steps    %llu\n",
-                static_cast<unsigned long long>(stats.emulated_steps));
+    // VeRisc steps of the two archived decoders, kept apart.
+    const uint64_t modecode_steps =
+        stats.system_stream.steps + stats.data_stream.steps;
+    std::printf("  MODecode steps    %llu\n",
+                static_cast<unsigned long long>(modecode_steps));
+    std::printf("  DBDecode steps    %llu\n",
+                static_cast<unsigned long long>(stats.emulated_steps -
+                                                modecode_steps));
   }
   return 0;
 }

@@ -5,8 +5,9 @@ Round-trips the CLI surface end to end on a temp directory:
 
   archive (TPC-H dump -> ULE-C1 container) -> inspect -> verify ->
   restore (native), then the same through a browsable directory reel,
-  an interrupted-spool recovery via `ulectl resume`, and checks the
-  restored dumps are byte-identical to the archived one.
+  an interrupted-spool recovery via `ulectl resume` and an emulated
+  restore of the golden archive in tests/golden/, and checks the
+  restored dumps are byte-identical to the archived ones.
 
 With --sharded, runs the reel-set loop instead: archive sharded across
 ULE-C1 reels under a ULE-R1 catalog at --threads 4, inspect/verify the
@@ -109,6 +110,21 @@ def smoke_single(ulectl, td):
     out = run([ulectl, "resume", spool])  # idempotent on a sealed reel
     if "nothing to resume" not in out:
         sys.exit("resume on a sealed reel should be a no-op")
+
+    # The future user's path on the committed golden archive: restore
+    # through its own Bootstrap, with the archived decoders' VeRISC
+    # steps reported apart.
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "..", "tests", "golden")
+    restored4 = os.path.join(td, "restored4.sql")
+    out = run([ulectl, "restore", "--emulated", "--in",
+               os.path.join(golden, "c1_v1.ulec"), "--out", restored4])
+    for needle in ("MODecode steps", "DBDecode steps"):
+        if needle not in out:
+            sys.exit(f"emulated restore output missing {needle!r}")
+    if not filecmp.cmp(os.path.join(golden, "c1_v1.sql"), restored4,
+                       shallow=False):
+        sys.exit("golden emulated restore: restored dump differs")
 
     # Corruption must fail loudly — and the diagnostic must say *which*
     # record died and at what byte offset, so the operator knows which
