@@ -302,8 +302,8 @@ Status ExpectSameFailureAtOneAndFourThreads(const filmstore::MemoryStore& store,
   Status first;
   for (const int threads : {1, 4}) {
     RestoreStats stats;
-    auto restored =
-        RestoreEmulatedFromStore(store, bootstrap, TinyEmblems(threads), &stats);
+    auto restored = RestoreEmulatedFromStore(store, bootstrap,
+                                             TinyEmblems(threads), &stats);
     EXPECT_FALSE(restored.ok()) << "threads " << threads;
     if (restored.ok()) return Status::OK();
     if (threads == 1) {
@@ -318,10 +318,12 @@ Status ExpectSameFailureAtOneAndFourThreads(const filmstore::MemoryStore& store,
 TEST(EndToEndTest, EmulatedDbDecodeReportsTheLowestFailingSegment) {
   // Two segments of the recovered stream are corrupted behind intact
   // emblems: their decoded bytes miss their UDB1 CRCs. Segments run in
-  // parallel, and the lower-index failure must win at any thread count.
+  // parallel, largest first, and the lower-index failure must win at any
+  // thread count, though the last segment (the largest) starts first.
   std::vector<dbcoder::SegmentSpan> spans;
   Bytes stream = SegmentedStream(5, &spans);
-  for (const size_t bad : {1u, 3u}) {
+  ASSERT_GT(spans[4].raw_len, spans[1].raw_len);
+  for (const size_t bad : {1u, 4u}) {
     stream[spans[bad].stream_offset + dbcoder::kContainerHeaderBytes + 2] ^=
         0x5A;
   }
