@@ -117,17 +117,22 @@ Bytes GridToIntensities(const mocoder::CellGrid& grid, int n) {
   return out;
 }
 
-/// One MODecode conformance case. `flipped_cells` destroys random cells
-/// (mid-gray); `errors_per_block` corrupts exactly that many distinct
-/// codeword bytes in every RS block by inverting one half-cell of each
-/// (16 is the RS(255,223) correction limit); `halt_block` >= 0 instead
-/// puts 17 byte errors into that block only, so MODecode must emit the
-/// blocks before it and halt.
+/// One MODecode conformance case: `flipped_cells` destroys random cells
+/// (mid-gray).
 struct EmblemCase {
   int n;
   int flipped_cells;
-  int errors_per_block = 0;
-  int halt_block = -1;
+};
+
+/// One MODecode case with exact byte damage: `errors_per_block` corrupts
+/// exactly that many distinct codeword bytes in every RS block by
+/// inverting one half-cell of each (16 is the RS(255,223) correction
+/// limit); `halt_block` >= 0 instead puts 17 byte errors into that block
+/// only, so MODecode must emit the blocks before it and halt.
+struct ByteDamageCase {
+  int n;
+  int errors_per_block;
+  int halt_block;
 };
 
 /// Inverts the first half-cell of coded byte `index` of an N x N
@@ -154,13 +159,12 @@ void CorruptBlock(Bytes* cells, int n, int block, int count, Rng* rng) {
   }
 }
 
-class ModecodeConformance : public ::testing::TestWithParam<EmblemCase> {};
-
-TEST_P(ModecodeConformance, MatchesNativeDecoder) {
-  const EmblemCase c = GetParam();
-  const int n = c.n;
+/// Damages an emblem as the case says, decodes it natively and through
+/// MODecode, and checks that the two agree.
+void ExpectModecodeMatchesNative(int n, int flipped_cells,
+                                 int errors_per_block, int halt_block) {
   Rng rng(static_cast<uint64_t>(n) * 31 +
-          static_cast<uint64_t>(c.flipped_cells));
+          static_cast<uint64_t>(flipped_cells));
   const int cap = mocoder::EmblemCapacity(n);
   ASSERT_GT(cap, 0);
   Bytes payload = RandomBytes(&rng, static_cast<size_t>(cap));
@@ -173,16 +177,16 @@ TEST_P(ModecodeConformance, MatchesNativeDecoder) {
   auto grid = mocoder::BuildEmblem(h, payload, n);
   ASSERT_TRUE(grid.ok());
   Bytes cells = GridToIntensities(grid.value(), n);
-  for (int i = 0; i < c.flipped_cells; ++i) {
+  for (int i = 0; i < flipped_cells; ++i) {
     cells[rng.Below(cells.size())] = 128;
   }
   const int blocks = mocoder::EmblemBlocks(n);
-  if (c.errors_per_block > 0) {
+  if (errors_per_block > 0) {
     for (int b = 0; b < blocks; ++b) {
-      CorruptBlock(&cells, n, b, c.errors_per_block, &rng);
+      CorruptBlock(&cells, n, b, errors_per_block, &rng);
     }
   }
-  if (c.halt_block >= 0) CorruptBlock(&cells, n, c.halt_block, 17, &rng);
+  if (halt_block >= 0) CorruptBlock(&cells, n, halt_block, 17, &rng);
 
   // Native reference decode (payload-level).
   mocoder::EmblemHeader native_h;
@@ -193,16 +197,16 @@ TEST_P(ModecodeConformance, MatchesNativeDecoder) {
   const Bytes input = PackModecodeInput(cells, n);
   auto out = dynarisc::RunProgram(ModecodeProgram(), input);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  if (c.halt_block >= 0) {
+  if (halt_block >= 0) {
     // Beyond the correction limit: the native decoder refuses the emblem
     // and MODecode halts after the blocks before the bad one.
     EXPECT_FALSE(native.ok());
-    EXPECT_EQ(out.value().size(), static_cast<size_t>(c.halt_block) * 223);
+    EXPECT_EQ(out.value().size(), static_cast<size_t>(halt_block) * 223);
     return;
   }
   ASSERT_TRUE(native.ok()) << native.status().ToString();
-  if (c.errors_per_block > 0) {
-    EXPECT_EQ(info.rs_errors_corrected, blocks * c.errors_per_block);
+  if (errors_per_block > 0) {
+    EXPECT_EQ(info.rs_errors_corrected, blocks * errors_per_block);
   }
   ASSERT_EQ(out.value().size(), static_cast<size_t>(blocks) * 223);
   // Container = header + payload (+ padding).
@@ -215,6 +219,13 @@ TEST_P(ModecodeConformance, MatchesNativeDecoder) {
   EXPECT_EQ(asm_payload, payload);
 }
 
+class ModecodeConformance : public ::testing::TestWithParam<EmblemCase> {};
+
+TEST_P(ModecodeConformance, MatchesNativeDecoder) {
+  const EmblemCase c = GetParam();
+  ExpectModecodeMatchesNative(c.n, c.flipped_cells, 0, -1);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Emblems, ModecodeConformance,
     ::testing::Values(EmblemCase{65, 0}, EmblemCase{65, 8},
@@ -222,11 +233,22 @@ INSTANTIATE_TEST_SUITE_P(
                       EmblemCase{128, 0}, EmblemCase{128, 40},
                       EmblemCase{128, 60},
                       // Microfilm geometry: odd N, 142 blocks.
-                      EmblemCase{763, 0}, EmblemCase{763, 0, 16},
-                      EmblemCase{763, 0, 0, 7},
+                      EmblemCase{763, 0},
                       // The largest N MODecode takes: 226 blocks fill the
                       // coded buffer up to the stack.
-                      EmblemCase{962, 0}, EmblemCase{962, 0, 16}));
+                      EmblemCase{962, 0}));
+
+class ModecodeByteDamage : public ::testing::TestWithParam<ByteDamageCase> {};
+
+TEST_P(ModecodeByteDamage, MatchesNativeDecoder) {
+  const ByteDamageCase c = GetParam();
+  ExpectModecodeMatchesNative(c.n, 0, c.errors_per_block, c.halt_block);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Emblems, ModecodeByteDamage,
+    ::testing::Values(ByteDamageCase{763, 16, -1}, ByteDamageCase{763, 0, 7},
+                      ByteDamageCase{962, 16, -1}));
 
 TEST(ModecodeTest, GridBeyondTheMemoryMapHalts) {
   // N = 1000 needs 244 RS blocks, more than the 64 KB map holds: the
