@@ -1,6 +1,7 @@
 #include "core/micr_olonys.h"
 
 #include <algorithm>
+#include <string>
 
 #include "decoders/dbdecode.h"
 #include "decoders/modecode.h"
@@ -12,10 +13,21 @@
 namespace ule {
 namespace core {
 
+Status ValidateArchiveOptions(const ArchiveOptions& options) {
+  ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(options.emblem));
+  if (options.emblem.data_side > decoders::kModecodeMaxDataSide) {
+    return Status::InvalidArgument(
+        "emblem data_side " + std::to_string(options.emblem.data_side) +
+        " exceeds " + std::to_string(decoders::kModecodeMaxDataSide) +
+        ", the largest grid the archived MODecode decodes");
+  }
+  return Status::OK();
+}
+
 Result<ArchiveSummary> ArchiveDumpStreaming(const std::string& sql_dump,
                                             const ArchiveOptions& options,
                                             filmstore::FrameSink& sink) {
-  ULE_RETURN_IF_ERROR(mocoder::ValidateOptions(options.emblem));
+  ULE_RETURN_IF_ERROR(ValidateArchiveOptions(options));
   ArchiveSummary summary;
   summary.emblem_options = options.emblem;
   // The recorded options describe the archived *geometry*; the archiving

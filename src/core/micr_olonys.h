@@ -93,6 +93,11 @@ struct ArchiveSummary {
   std::vector<filmstore::ReelStats> reels;
 };
 
+/// Checks `options` before anything is written: the emblem options must
+/// be valid, and data_side must not exceed decoders::kModecodeMaxDataSide,
+/// or the archive's own Bootstrap could not restore it.
+Status ValidateArchiveOptions(const ArchiveOptions& options);
+
 /// \brief Steps 1-7: archives a textual database dump. Frames flow to
 /// `sink` (any filmstore backend — an in-memory store, a directory of
 /// scans, the ULE-C1 spool container, or a sharding reel set) through the

@@ -90,7 +90,6 @@ constexpr std::string_view kSource = R"(
 .equ XINVV,    0x192E      ; current X^-1
 .equ POSAV,    0x1930      ; current position a
 .equ MEANAV,   0x1932
-.equ MEANBV,   0x1934
 .equ PENDV,    0x1936      ; pending first half-cell between rows
 .equ BITBUF,   0x1A00
 .equ GFEXP2,   0x1B00

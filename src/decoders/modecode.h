@@ -23,7 +23,7 @@
 /// Implementation limit: blocks <= 226, i.e. N <= 962, so the interleaved
 /// codeword buffer fits the 16-bit address space. Paper-scale emblems
 /// (N = 942 on A4, N = 962 on microfilm) fit; a larger N halts with no
-/// output.
+/// output, and core::ValidateArchiveOptions refuses to archive one.
 
 #ifndef ULE_DECODERS_MODECODE_H_
 #define ULE_DECODERS_MODECODE_H_
@@ -35,6 +35,10 @@
 
 namespace ule {
 namespace decoders {
+
+/// The largest data_side MODecode decodes (226 RS blocks). Archives are
+/// refused beyond it, since their own Bootstrap could not restore them.
+constexpr int kModecodeMaxDataSide = 962;
 
 /// The DynaRisc assembly source of MODecode.
 std::string_view ModecodeSource();

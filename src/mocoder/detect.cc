@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "mocoder/emblem.h"
@@ -143,6 +144,30 @@ void MapToScan(const Frame& f, double cxc, double cyc, double norm, double k,
     sx[i] = cxc + dx;
     sy[i] = cyc + dy;
   }
+}
+
+/// The lens calibration's candidate k values. Inner ones cover the
+/// physically plausible range, -0.008 to 0.008 by 0.0004 (41 values); outer
+/// ones continue from magnitude 0.0088 to 0.0296 by 0.0008, each magnitude
+/// followed by its negation (54 values). They are the doubles the original
+/// exhaustive sweep's accumulating loops produced: `start + i * step` rounds
+/// differently and would move the calibrated k, and so the sampled grid, on
+/// every frame that needs a lens correction.
+struct LensCandidates {
+  std::vector<double> inner, outer;
+};
+
+const LensCandidates& Candidates() {
+  static const LensCandidates candidates = [] {
+    LensCandidates c;
+    for (double k = -0.008; k <= 0.008001; k += 0.0004) c.inner.push_back(k);
+    for (double mag = 0.0088; mag <= 0.03001; mag += 0.0008) {
+      c.outer.push_back(mag);
+      c.outer.push_back(-mag);
+    }
+    return c;
+  }();
+  return candidates;
 }
 
 /// Least-squares line fit y = a + b*x over (xs, ys).
@@ -338,7 +363,9 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
     MapToScan(f, cxc, cyc, norm, k, points.u.data(), points.v.data(),
               points.u.size() / 2, sx.data(), sy.data());
   };
+  int scored = 0;
   auto calibration_score = [&](double k) {
+    ++scored;
     const Frame f = make_frame(k);
     double black_sum = 0, white_sum = 0;
     map_points(f, k, black);
@@ -355,25 +382,63 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
     return ring + 2.0 * std::abs(sync) / n;
   };
 
-  // Plain argmax over the physically plausible lens range; candidates
-  // beyond it (the score can have spurious far-away optima on very large
-  // emblems) are only accepted on a clear margin.
+  // Coarse-to-fine search over the lens candidates. The coarse pass scores
+  // k = 0, every 4th inner candidate and every 4th outer magnitude with
+  // both signs; the fine pass scores the three neighbours on each side of
+  // the best inner candidate, and of the best outer candidate with the
+  // same sign. Then the scored candidates compete in list order: a plain
+  // argmax over the physically plausible inner range, while outer
+  // candidates (the score can have spurious far-away optima on very large
+  // emblems) are only accepted on a clear margin. An unscored candidate
+  // keeps a NaN score, which loses every comparison.
+  constexpr double kUnscored = std::numeric_limits<double>::quiet_NaN();
+  const LensCandidates& lens = Candidates();
+  const int inner_count = static_cast<int>(lens.inner.size());
+  const int outer_count = static_cast<int>(lens.outer.size());
+  std::vector<double> inner_score(inner_count, kUnscored);
+  std::vector<double> outer_score(outer_count, kUnscored);
+  auto score_inner = [&](int i) {
+    if (i >= 0 && i < inner_count) {
+      inner_score[i] = calibration_score(lens.inner[i]);
+    }
+  };
+  auto score_outer = [&](int i) {
+    if (i >= 0 && i < outer_count) {
+      outer_score[i] = calibration_score(lens.outer[i]);
+    }
+  };
+  // The first of the highest scores so far (NaN never wins).
+  auto argmax = [](const std::vector<double>& scores) {
+    return static_cast<int>(std::max_element(scores.begin(), scores.end()) -
+                            scores.begin());
+  };
+  const double zero_score = calibration_score(0);
+  for (int i = 0; i < inner_count; i += 4) score_inner(i);
+  for (int i = 0; i < outer_count; i += 8) {
+    score_outer(i);
+    score_outer(i + 1);
+  }
+  const int best_inner = argmax(inner_score);
+  const int best_outer = argmax(outer_score);
+  for (int d = 1; d <= 3; ++d) {
+    score_inner(best_inner - d);
+    score_inner(best_inner + d);
+    score_outer(best_outer - 2 * d);
+    score_outer(best_outer + 2 * d);
+  }
+
   double best_k = 0;
-  double best_score = calibration_score(0);
-  for (double k = -0.008; k <= 0.008001; k += 0.0004) {
-    const double s = calibration_score(k);
-    if (s > best_score) {
-      best_score = s;
-      best_k = k;
+  double best_score = zero_score;
+  for (int i = 0; i < inner_count; ++i) {
+    if (inner_score[i] > best_score) {
+      best_score = inner_score[i];
+      best_k = lens.inner[i];
     }
   }
-  for (double mag = 0.0088; mag <= 0.03001; mag += 0.0008) {
-    for (double k : {mag, -mag}) {
-      const double s = calibration_score(k);
-      if (s > best_score * 1.02 + 1.0) {
-        best_score = s;
-        best_k = k;
-      }
+  for (int i = 0; i < outer_count; ++i) {
+    if (outer_score[i] > best_score * 1.02 + 1.0) {
+      best_score = outer_score[i];
+      best_k = lens.outer[i];
     }
   }
 
@@ -401,6 +466,7 @@ Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
                                  (utr.y - utl.y) * (utr.y - utl.y)) /
                        grid_side;
     info->lens_k = best_k;
+    info->lens_candidates = scored;
   }
   return out;
 }

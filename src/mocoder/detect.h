@@ -15,9 +15,13 @@
 /// copy of the original detector (tests/detect_reference.h) bit for bit on
 /// rendered, distorted, per-media-profile and degenerate frames. Speed-ups
 /// here must keep every floating-point expression and its evaluation order.
-/// The lens sweep tries all 98 candidate k values on purpose: a
-/// coarse-to-fine search would pick a different k on some frames and so
-/// change their grids.
+///
+/// The lens calibration dominates the cost. It searches 96 candidate k
+/// values coarse-to-fine and scores 35 of them on a rendered frame
+/// (DetectInfo::lens_candidates; mocoder_test pins the count). The search
+/// replaced an exhaustive sweep of all 96, which chose a different k on
+/// some frames; mocoder_test's LensSearchKeepsDecodeOutcomes holds it to
+/// that sweep's decode outcome on a corpus of distorted scans.
 
 #ifndef ULE_MOCODER_DETECT_H_
 #define ULE_MOCODER_DETECT_H_
@@ -34,6 +38,7 @@ struct DetectInfo {
   double rotation_deg = 0;   ///< estimated skew
   double cell_pitch = 0;     ///< estimated pixels per cell
   double lens_k = 0;         ///< calibrated radial distortion
+  int lens_candidates = 0;   ///< lens k values scored to calibrate it
 };
 
 /// \brief Locates the emblem in `scan` and samples its data area.

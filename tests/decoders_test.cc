@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/micr_olonys.h"
 #include "dbcoder/dbcoder.h"
 #include "decoders/dbdecode.h"
 #include "decoders/modecode.h"
 #include "dynarisc/machine.h"
+#include "filmstore/frame_store.h"
 #include "mocoder/emblem.h"
 #include "olonys/dynarisc_in_verisc.h"
 #include "support/crc32.h"
@@ -271,6 +275,28 @@ TEST(ModecodeTest, GridBeyondTheMemoryMapHalts) {
       dynarisc::RunProgram(ModecodeProgram(), PackModecodeInput(cells, n));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out.value().empty());
+}
+
+TEST(ModecodeTest, ArchiveRefusesGridsBeyondTheMemoryMap) {
+  // The limit is exactly where the coded bytes outgrow the 64 KB map.
+  EXPECT_EQ(mocoder::EmblemBlocks(kModecodeMaxDataSide), 226);
+  EXPECT_EQ(mocoder::EmblemBlocks(kModecodeMaxDataSide + 1), 227);
+  // An archive one cell larger would halt its own MODecode, so it is
+  // refused before the first frame is written.
+  core::ArchiveOptions options;
+  options.emblem.data_side = kModecodeMaxDataSide + 1;
+  filmstore::MemoryStore store;
+  auto summary = core::ArchiveDumpStreaming(
+      "CREATE TABLE t (a INTEGER);\nINSERT INTO t VALUES (1);\n", options,
+      store);
+  ASSERT_FALSE(summary.ok());
+  EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(summary.status().message().find("962"), std::string::npos)
+      << summary.status().ToString();
+  for (mocoder::StreamId id :
+       {mocoder::StreamId::kData, mocoder::StreamId::kSystem}) {
+    EXPECT_TRUE(store.frames(id).empty());
+  }
 }
 
 TEST(ModecodeTest, PinnedInstructionCountOnCleanEmblem) {

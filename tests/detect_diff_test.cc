@@ -1,7 +1,7 @@
 // Differential suite for the emblem detector: mocoder::SampleEmblem must
 // reproduce the reference detector in detect_reference.h bit for bit —
 // the same sampled grid bytes, the same DetectInfo doubles (compared as
-// bit patterns) and the same ok/error status — on rendered frames, scans
+// bit patterns), the same lens candidate count and the same ok/error status — on rendered frames, scans
 // under each distortion, one scan per media profile, and degenerate
 // images. The detector's output feeds the inner RS decode and the archived
 // MODecode, so a restore must not depend on which build sampled the frame.
@@ -69,6 +69,7 @@ bool ExpectSameAsReference(const Frame& f) {
   EXPECT_EQ(Bits(got_info.rotation_deg), Bits(want_info.rotation_deg));
   EXPECT_EQ(Bits(got_info.cell_pitch), Bits(want_info.cell_pitch));
   EXPECT_EQ(Bits(got_info.lens_k), Bits(want_info.lens_k));
+  EXPECT_EQ(got_info.lens_candidates, want_info.lens_candidates);
   return true;
 }
 

@@ -1,7 +1,8 @@
 // Test-only reference detector: the original, unoptimised
 // mocoder::SampleEmblem and media::Image::Sample, kept verbatim apart from
 // two mechanical edits (Sample and at_clamped are free functions here, so
-// `scan.Sample(x, y)` reads `Sample(scan, x, y)`). detect_diff_test.cc
+// `scan.Sample(x, y)` reads `Sample(scan, x, y)`) and one deliberate
+// change, the coarse-to-fine lens search (see there). detect_diff_test.cc
 // requires the library detector to reproduce this one bit for bit, so any
 // speed-up of the real detector that changes a sampled byte or a DetectInfo
 // double fails there. Do not "improve" this file: it is the specification.
@@ -299,27 +300,76 @@ inline Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
     return ring + 2.0 * std::abs(sync) / n;
   };
 
-  // Plain argmax over the physically plausible lens range; candidates
+  // Coarse-to-fine lens search. The original detector scored all 96
+  // candidates; this search was then adopted on purpose, because it scores
+  // 35 on a rendered frame and keeps every decode outcome on the corpus of
+  // mocoder_test's LensSearchKeepsDecodeOutcomes. The candidates are the
+  // doubles the original sweep's loops produced, in its order (each outer
+  // magnitude before its negation). The coarse pass scores k = 0, every 4th
+  // inner candidate and every 4th outer magnitude with both signs; the fine
+  // pass scores the three neighbours on each side of the best inner
+  // candidate, and of the best outer candidate with the same sign. The
+  // scored candidates then compete under the original rules and order:
+  // plain argmax over the physically plausible lens range; candidates
   // beyond it (the score can have spurious far-away optima on very large
   // emblems) are only accepted on a clear margin.
+  std::vector<double> inner, outer;
+  for (double k = -0.008; k <= 0.008001; k += 0.0004) inner.push_back(k);
+  for (double mag = 0.0088; mag <= 0.03001; mag += 0.0008) {
+    outer.push_back(mag);
+    outer.push_back(-mag);
+  }
+  const int inner_count = static_cast<int>(inner.size());
+  const int outer_count = static_cast<int>(outer.size());
+  std::vector<bool> inner_scored(inner_count), outer_scored(outer_count);
+  std::vector<double> inner_score(inner_count), outer_score(outer_count);
+  int scored = 0;
+  auto score = [&](const std::vector<double>& ks, int i,
+                   std::vector<bool>* done, std::vector<double>* scores) {
+    if (i < 0 || i >= static_cast<int>(ks.size())) return;
+    (*scores)[i] = calibration_score(ks[i]);
+    (*done)[i] = true;
+    ++scored;
+  };
+  auto best_scored = [](const std::vector<bool>& done,
+                        const std::vector<double>& scores) {
+    int best = -1;
+    for (int i = 0; i < static_cast<int>(scores.size()); ++i) {
+      if (done[i] && (best < 0 || scores[i] > scores[best])) best = i;
+    }
+    return best;
+  };
   double best_k = 0;
   double best_score = calibration_score(0);
-  for (double k = -0.008; k <= 0.008001; k += 0.0004) {
-    const double s = calibration_score(k);
-    if (s > best_score) {
-      best_score = s;
-      best_k = k;
+  ++scored;
+  for (int i = 0; i < inner_count; i += 4) {
+    score(inner, i, &inner_scored, &inner_score);
+  }
+  for (int m = 0; 2 * m < outer_count; m += 4) {
+    score(outer, 2 * m, &outer_scored, &outer_score);
+    score(outer, 2 * m + 1, &outer_scored, &outer_score);
+  }
+  const int best_inner = best_scored(inner_scored, inner_score);
+  const int best_outer = best_scored(outer_scored, outer_score);
+  for (int d = 1; d <= 3; ++d) {
+    score(inner, best_inner - d, &inner_scored, &inner_score);
+    score(inner, best_inner + d, &inner_scored, &inner_score);
+    score(outer, best_outer - 2 * d, &outer_scored, &outer_score);
+    score(outer, best_outer + 2 * d, &outer_scored, &outer_score);
+  }
+  for (int i = 0; i < inner_count; ++i) {
+    if (inner_scored[i] && inner_score[i] > best_score) {
+      best_score = inner_score[i];
+      best_k = inner[i];
     }
   }
-  for (double mag = 0.0088; mag <= 0.03001; mag += 0.0008) {
-    for (double k : {mag, -mag}) {
-      const double s = calibration_score(k);
-      if (s > best_score * 1.02 + 1.0) {
-        best_score = s;
-        best_k = k;
-      }
+  for (int i = 0; i < outer_count; ++i) {
+    if (outer_scored[i] && outer_score[i] > best_score * 1.02 + 1.0) {
+      best_score = outer_score[i];
+      best_k = outer[i];
     }
   }
+  if (info) info->lens_candidates = scored;
 
   // 4. Sample the data-area lattice with the calibrated frame.
   const Frame frame = make_frame(best_k);

@@ -349,6 +349,9 @@ int RunArchive(const Args& args) {
   // The index costs a little compression and buys `restore --table`;
   // archives meant to be restored are worth making seekable by default.
   options.build_index = !args.no_index;
+  // Refuse bad options before a writer creates the output.
+  Status valid = core::ValidateArchiveOptions(options);
+  if (!valid.ok()) return Fail(valid);
 
   const bool sharded = args.shard_frames > 0 || args.shard_bytes > 0;
   if (sharded && args.dir) {

@@ -126,6 +126,14 @@ def smoke_single(ulectl, td):
                        shallow=False):
         sys.exit("golden emulated restore: restored dump differs")
 
+    # A grid larger than the archived MODecode decodes is refused before
+    # the output is created: its own Bootstrap could not restore it.
+    too_big = os.path.join(td, "too_big.ulec")
+    run_expect_failure([ulectl, "archive", "--in", dump, "--out", too_big,
+                        "--data-side", "963"], ["963", "962"])
+    if os.path.exists(too_big):
+        sys.exit("refused archive still created its output")
+
     # Corruption must fail loudly — and the diagnostic must say *which*
     # record died and at what byte offset, so the operator knows which
     # frame of which reel to rescan.
