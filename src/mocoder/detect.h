@@ -19,9 +19,9 @@
 /// The lens calibration dominates the cost. It searches 96 candidate k
 /// values coarse-to-fine and scores 35 of them on a rendered frame
 /// (DetectInfo::lens_candidates; mocoder_test pins the count). The search
-/// replaced an exhaustive sweep of all 96, which chose a different k on
-/// some frames; mocoder_test's LensSearchKeepsDecodeOutcomes holds it to
-/// that sweep's decode outcome on a corpus of distorted scans.
+/// replaced an exhaustive sweep of all 96 and chooses a different k on
+/// some distorted frames; mocoder_test's LensSearchKeepsDecodeOutcomes
+/// pins the decode outcome of each scan of a corpus against the sweep's.
 
 #ifndef ULE_MOCODER_DETECT_H_
 #define ULE_MOCODER_DETECT_H_

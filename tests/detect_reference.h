@@ -301,9 +301,9 @@ inline Result<Bytes> SampleEmblem(const media::Image& scan, int data_side,
   };
 
   // Coarse-to-fine lens search. The original detector scored all 96
-  // candidates; this search was then adopted on purpose, because it scores
-  // 35 on a rendered frame and keeps every decode outcome on the corpus of
-  // mocoder_test's LensSearchKeepsDecodeOutcomes. The candidates are the
+  // candidates; this search, adopted on purpose, scores 35 on a rendered
+  // frame (mocoder_test's LensSearchKeepsDecodeOutcomes compares the decode
+  // outcomes of the two on a corpus of scans). The candidates are the
   // doubles the original sweep's loops produced, in its order (each outer
   // magnitude before its negation). The coarse pass scores k = 0, every 4th
   // inner candidate and every 4th outer magnitude with both signs; the fine

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "media/profiles.h"
 #include "media/scanner.h"
@@ -315,16 +316,16 @@ TEST_P(DetectUnderDistortion, DecodesThroughScan) {
   EXPECT_EQ(h.seq, 3);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Profiles, DetectUnderDistortion,
-    ::testing::Values(
-        ScanCase{"clean", 0, 0, 0, 0, 0, 0},
-        ScanCase{"rotated", 1.0, 0, 0, 0.3, 3, 0},
-        ScanCase{"lens", 0.2, 0.004, 0, 0.3, 3, 0},
-        ScanCase{"jitter", 0.2, 0, 0.5, 0.3, 3, 0},
-        ScanCase{"noisy", 0.3, 0.001, 0.3, 0.8, 10, 2},
-        ScanCase{"dusty", 0.2, 0.001, 0.2, 0.5, 5, 20}),
-    [](const auto& info) { return info.param.name; });
+const ScanCase kScanCases[] = {{"clean", 0, 0, 0, 0, 0, 0},
+                               {"rotated", 1.0, 0, 0, 0.3, 3, 0},
+                               {"lens", 0.2, 0.004, 0, 0.3, 3, 0},
+                               {"jitter", 0.2, 0, 0.5, 0.3, 3, 0},
+                               {"noisy", 0.3, 0.001, 0.3, 0.8, 10, 2},
+                               {"dusty", 0.2, 0.001, 0.2, 0.5, 5, 20}};
+
+INSTANTIATE_TEST_SUITE_P(Profiles, DetectUnderDistortion,
+                         ::testing::ValuesIn(kScanCases),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(DetectTest, FailsWithoutEmblem) {
   media::Image blank(200, 200, 255);
@@ -432,13 +433,7 @@ void ForEachParityScan(Visit visit) {
   }
   {
     const ParityScan printed = RenderParityEmblem(80, 5, StreamId::kData, 8);
-    const ScanCase cases[] = {{"clean", 0, 0, 0, 0, 0, 0},
-                              {"rotated", 1.0, 0, 0, 0.3, 3, 0},
-                              {"lens", 0.2, 0.004, 0, 0.3, 3, 0},
-                              {"jitter", 0.2, 0, 0.5, 0.3, 3, 0},
-                              {"noisy", 0.3, 0.001, 0.3, 0.8, 10, 2},
-                              {"dusty", 0.2, 0.001, 0.2, 0.5, 5, 20}};
-    for (const ScanCase& c : cases) {
+    for (const ScanCase& c : kScanCases) {
       for (uint64_t seed : {77, 78, 79, 80}) {
         media::ScanProfile sp;
         sp.rotation_deg = c.rotation;
