@@ -123,7 +123,7 @@ RunResult RunOn(const media::MediaProfile& profile, const std::string& payload,
 
 /// Sharded spool: the payload archived into a ULE-R1 reel set of at most
 /// `frames_per_reel` frames per reel (0 = one reel), then restored
-/// through the parallel reel-set source.
+/// through the reel set's chained per-reel sources.
 struct ShardedResult {
   bool exact = false;
   double write_s = 0;
@@ -284,7 +284,7 @@ int main() {
   for (auto& c : payload) c = static_cast<char>(rng.Below(256));
 
   // ---- Sharded reel set: a 300 KB payload on microfilm split across
-  // reels under a ULE-R1 catalog (1 reel vs 4), write + parallel read
+  // reels under a ULE-R1 catalog (1 reel vs 4), write + read
   // throughput. The 4-reel split is sized from the 1-reel frame count. ----
   std::printf("=== sharded reel set: ULE-R1 write/read, 1 vs 4 reels ===\n");
   std::string big_payload(300 * 1000, '\0');
@@ -297,7 +297,7 @@ int main() {
                 sh.exact ? "yes" : "NO");
     std::printf("%-42s %9.1fM/s\n", "reel-set write (archive+spool)",
                 sh.write_s > 0 ? sh.total_bytes / 1e6 / sh.write_s : 0.0);
-    std::printf("%-42s %9.1fM/s\n", "reel-set read (parallel restore)",
+    std::printf("%-42s %9.1fM/s\n", "reel-set read (restore)",
                 sh.read_s > 0 ? sh.total_bytes / 1e6 / sh.read_s : 0.0);
     report.Add("reelset_spool_write_" + tag, 1, sh.write_s,
                static_cast<double>(sh.total_bytes));

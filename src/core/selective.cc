@@ -165,13 +165,6 @@ Result<SelectiveRestorer> SelectiveRestorer::Open(
 Result<SelectiveRestorer> SelectiveRestorer::Open(
     const filmstore::ReelReader& reader, RecordIndex index,
     const SelectiveOptions& options) {
-  const auto* seek = dynamic_cast<const filmstore::SeekableSource*>(&reader);
-  if (seek == nullptr) {
-    return Status::InvalidArgument(
-        std::string("reel backend '") + reader.kind() +
-        "' does not support seek reads (selective restore needs a "
-        "filmstore::SeekableSource)");
-  }
   const int capacity =
       mocoder::EmblemCapacity(reader.emblem_options().data_side);
   if (capacity <= 0) {
@@ -191,7 +184,6 @@ Result<SelectiveRestorer> SelectiveRestorer::Open(
   }
   SelectiveRestorer r;
   r.reader_ = &reader;
-  r.seek_ = seek;
   r.index_ = std::move(index);
   r.options_ = options;
   r.capacity_ = capacity;
@@ -211,7 +203,7 @@ Result<Bytes> SelectiveRestorer::FetchEmblem(uint16_t seq) const {
   }
   ULE_ASSIGN_OR_RETURN(
       media::Image scan,
-      seek_->ReadFrame(mocoder::StreamId::kData, static_cast<size_t>(frame)));
+      reader_->ReadFrame(mocoder::StreamId::kData, static_cast<size_t>(frame)));
   ULE_ASSIGN_OR_RETURN(
       Bytes grid,
       mocoder::SampleEmblem(scan, reader_->emblem_options().data_side));

@@ -8,7 +8,7 @@
 ///
 ///   predicate → dump chunks → stream byte ranges → data emblem
 ///   sequence numbers → frame records (outer.h arithmetic) → seek reads
-///   (filmstore::SeekableSource)
+///   (filmstore::ReelReader::ReadFrame)
 ///
 /// Only the touched frame records are read and only the touched emblems
 /// are decoded; a decoded-payload LRU cache (32 MiB, and never less than
@@ -75,10 +75,9 @@ struct SelectiveStats {
 /// one restorer per thread.
 class SelectiveRestorer {
  public:
-  /// Opens `reader`'s own ULE-S1 section. The reader must implement
-  /// filmstore::SeekableSource (containers, directories and reel sets
-  /// all do); NotFound when the archive carries no index — derive one
-  /// with DeriveRecordIndex after a full restore and use the overload.
+  /// Opens `reader`'s own ULE-S1 section; NotFound when the archive
+  /// carries no index — derive one with DeriveRecordIndex after a full
+  /// restore and use the overload.
   static Result<SelectiveRestorer> Open(const filmstore::ReelReader& reader,
                                         const SelectiveOptions& options = {});
   /// Same, with an externally supplied (e.g. derived) index. The index
@@ -127,7 +126,6 @@ class SelectiveRestorer {
   };
 
   const filmstore::ReelReader* reader_ = nullptr;
-  const filmstore::SeekableSource* seek_ = nullptr;
   RecordIndex index_;
   SelectiveOptions options_;
   int capacity_ = 0;  ///< payload bytes per emblem

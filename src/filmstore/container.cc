@@ -616,12 +616,5 @@ Result<RecoveredSpool> ScanSpool(const std::string& path) {
   return out;
 }
 
-Result<media::Image> ReadFrameRecord(const std::string& path,
-                                     const ContainerEntry& entry) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  return ReadFrameFrom(in, path, entry);
-}
-
 }  // namespace filmstore
 }  // namespace ule

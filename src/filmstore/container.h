@@ -228,7 +228,7 @@ class ContainerWriter final : public ArchiveWriter {
 /// \brief Random-access ULE-C1 reader. Open validates the header, footer
 /// and index (structure + index CRC) without touching record payloads;
 /// payload CRCs are checked on every read.
-class ContainerReader final : public ReelReader, public SeekableSource {
+class ContainerReader final : public ReelReader {
  public:
   /// Opens and validates `path`. Corruption for a damaged or truncated
   /// container, Unimplemented for an unknown container version, IoError
@@ -286,13 +286,6 @@ class ContainerReader final : public ReelReader, public SeekableSource {
 /// Decodes one frame payload with its recorded codec (shared by the
 /// reader, Verify, and tests).
 Result<media::Image> DecodeFramePayload(FrameCodec codec, BytesView payload);
-
-/// Reads, CRC-validates and decodes one frame record of a sealed
-/// container. Self-contained (opens `path` per call) and thread-safe, so
-/// the reel-set source can fan record reads out across pool workers.
-Result<media::Image> ReadFrameRecord(const std::string& path,
-                                     const ContainerEntry& entry);
-
 
 }  // namespace filmstore
 }  // namespace ule

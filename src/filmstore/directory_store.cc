@@ -17,10 +17,6 @@ constexpr char kManifestName[] = "manifest.txt";
 constexpr char kBootstrapName[] = "bootstrap.txt";
 constexpr char kIndexSectionName[] = "index.ules";
 
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  return (std::filesystem::path(dir) / name).string();
-}
-
 /// True for frame files a DirectoryWriter produces ("data-0007.pgm",
 /// "system-0000.pbm", any digit count beyond four).
 bool IsFrameFileName(const std::string& name) {

@@ -75,7 +75,7 @@ class DirectoryWriter final : public ArchiveWriter {
 
 /// \brief Reads a DirectoryWriter-shaped directory back: manifest,
 /// bootstrap, and per-stream frame sources that load one file at a time.
-class DirectoryReader final : public ReelReader, public SeekableSource {
+class DirectoryReader final : public ReelReader {
  public:
   /// Parses `<dir>/manifest.txt`. NotFound when there is no manifest,
   /// Corruption when it does not parse.

@@ -41,11 +41,6 @@ constexpr char kParityMagic[4] = {'U', 'L', 'E', 'P'};
 /// passes; memory stays O((outputs + 1) * chunk) however big the reels.
 constexpr size_t kStripeChunkBytes = 1 << 20;
 
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  if (dir.empty()) return name;
-  return (std::filesystem::path(dir) / name).string();
-}
-
 Bytes ParityHeader(size_t parity_index, size_t data_reels,
                    size_t parity_reels) {
   ByteWriter w;

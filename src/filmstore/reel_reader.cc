@@ -25,10 +25,6 @@ bool LooksLikeCatalog(const std::string& path) {
 
 }  // namespace
 
-Result<std::unique_ptr<ReelReader>> OpenReel(const std::string& path) {
-  return OpenReel(path, ReelOpenOptions());
-}
-
 Result<std::unique_ptr<ReelReader>> OpenReel(const std::string& path,
                                              const ReelOpenOptions& options) {
   if (std::filesystem::is_directory(path)) {
@@ -37,10 +33,8 @@ Result<std::unique_ptr<ReelReader>> OpenReel(const std::string& path,
     return std::unique_ptr<ReelReader>(std::move(reader));
   }
   if (LooksLikeCatalog(path)) {
-    ReelSetReader::OpenOptions sopt;
-    sopt.reconstruct = options.reconstruct;
     ULE_ASSIGN_OR_RETURN(std::unique_ptr<ReelSetReader> reader,
-                         ReelSetReader::Open(path, sopt));
+                         ReelSetReader::Open(path, options));
     return std::unique_ptr<ReelReader>(std::move(reader));
   }
   ULE_ASSIGN_OR_RETURN(std::unique_ptr<ContainerReader> reader,

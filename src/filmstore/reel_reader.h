@@ -55,24 +55,6 @@ struct ReadCounterCell {
   }
 };
 
-/// \brief Random access into a reel's frames, by stream + emitted
-/// position — the read primitive beneath selective restoration. The
-/// streaming `ReelReader::OpenFrames` contract is untouched: a seekable
-/// backend serves both, and interleaving seek reads with an open
-/// streaming source is safe (readers are stateless per call).
-class SeekableSource {
- public:
-  virtual ~SeekableSource() = default;
-
-  /// Reads (and validates, where the backend has checksums) one frame of
-  /// `id`'s stream by its 0-based position in the emitted sequence —
-  /// the same order OpenFrames yields and `frame_count` counts.
-  /// OutOfRange past the end; a damaged backing record surfaces as the
-  /// read error the streaming path would hit at that frame.
-  virtual Result<media::Image> ReadFrame(mocoder::StreamId id,
-                                         size_t index) const = 0;
-};
-
 class ReelReader {
  public:
   virtual ~ReelReader() = default;
@@ -91,6 +73,16 @@ class ReelReader {
   /// call. Self-contained; may outlive the reader.
   virtual std::unique_ptr<FrameSource> OpenFrames(
       mocoder::StreamId id) const = 0;
+  /// \brief Random access by stream + emitted position — the read
+  /// primitive beneath selective restoration. Reads (and validates, where
+  /// the backend has checksums) one frame of `id`'s stream by its 0-based
+  /// position in the order OpenFrames yields and `frame_count` counts.
+  /// OutOfRange past the end; a damaged backing record surfaces as the
+  /// read error the streaming path would hit at that frame. Safe to
+  /// interleave with an open streaming source (readers are stateless per
+  /// call).
+  virtual Result<media::Image> ReadFrame(mocoder::StreamId id,
+                                         size_t index) const = 0;
   /// Re-reads every record and validates what the backend can guarantee
   /// (ULE-C1: every CRC; directory: every frame file parses).
   virtual Status Verify() const = 0;
@@ -99,13 +91,10 @@ class ReelReader {
   /// NotFound for a reel archived before (or without) indexing — such
   /// archives stay fully restorable and an index can be re-derived by a
   /// one-pass scan (`core::DeriveRecordIndex`).
-  virtual Result<Bytes> ReadIndexSection() const {
-    return Status::NotFound("reel has no record-index section");
-  }
+  virtual Result<Bytes> ReadIndexSection() const = 0;
   /// Frame-record reads served so far — by streaming sources this reader
-  /// opened and by seek reads (SeekableSource). Thread-safe snapshot;
-  /// backends without per-record accounting report zeros.
-  virtual ReadCounters read_counters() const { return {}; }
+  /// opened and by seek reads (ReadFrame). Thread-safe snapshot.
+  virtual ReadCounters read_counters() const = 0;
 };
 
 struct ReelOpenOptions {
@@ -117,9 +106,8 @@ struct ReelOpenOptions {
 };
 
 /// Opens the reel at `path` with the matching backend.
-Result<std::unique_ptr<ReelReader>> OpenReel(const std::string& path);
-Result<std::unique_ptr<ReelReader>> OpenReel(const std::string& path,
-                                             const ReelOpenOptions& options);
+Result<std::unique_ptr<ReelReader>> OpenReel(
+    const std::string& path, const ReelOpenOptions& options = {});
 
 }  // namespace filmstore
 }  // namespace ule

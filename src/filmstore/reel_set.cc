@@ -5,13 +5,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "filmstore/parity.h"
 #include "support/crc32.h"
 #include "support/io.h"
-#include "support/parallel.h"
 
 namespace ule {
 namespace filmstore {
@@ -27,7 +25,7 @@ namespace filmstore {
 //     10  2  emblem quiet_cells
 //     12  4  reserved (0)
 //   u64 archive_id, u32 reel_count, then per reel:
-//     u16 name_len | name bytes (relative to the catalog's directory)
+//     u16 name_len | name bytes (a bare file name in the catalog's directory)
 //     u32 first_record | u32 records
 //     u32 first_data_frame | u32 data_frames
 //     u32 first_system_frame | u32 system_frames
@@ -48,109 +46,51 @@ constexpr char kCatalogParityMagic[4] = {'U', 'L', 'E', 'P'};
 constexpr size_t kCatalogHeaderBytes = 16;
 constexpr size_t kCatalogTrailerBytes = 8;
 
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  if (dir.empty()) return name;
-  return (std::filesystem::path(dir) / name).string();
+/// Reads one u16-length-prefixed reel name; `row` ("reel 3", "parity
+/// reel 0") names the catalog row in errors. Names are bare file names in
+/// the catalog's directory — writers only ever store `path.filename()` —
+/// so anything that could resolve elsewhere once joined onto that
+/// directory is refused here, before a reader, repair or scrub touches
+/// the file system with it.
+Result<std::string> ParseReelName(ByteReader& r, const std::string& row) {
+  uint16_t name_len = 0;
+  ULE_RETURN_IF_ERROR(r.GetU16(&name_len));
+  if (name_len == 0 || name_len > r.remaining()) {
+    return Status::Corruption("catalog " + row +
+                              " has an implausible name length");
+  }
+  Bytes bytes;
+  ULE_RETURN_IF_ERROR(r.GetBytes(name_len, &bytes));
+  std::string name(bytes.begin(), bytes.end());
+  if (name == "." || name == ".." ||
+      name.find_first_of(std::string("/\\\0", 3)) != std::string::npos) {
+    return Status::Corruption("catalog " + row +
+                              " name is not a bare file name");
+  }
+  return name;
 }
 
-/// One record load for the parallel reel-set source.
-struct FrameJob {
-  std::string path;  ///< the reel file
-  ContainerEntry entry;
-};
-
-/// \brief Pull source over records spread across many reels. A driver
-/// thread runs `ParallelForOrdered` over the job list — record reads and
-/// image decodes fan out on the shared pool, delivery is strictly in job
-/// order through a bounded channel — so `Next()` hands frames out in
-/// stream order with O(threads) frames in flight, identical at any
-/// thread count. Abandoning the source (destruction before the end of
-/// the reel) closes the channel, which unwinds the driver cleanly.
-class ReelSetSource final : public FrameSource {
+/// \brief Pull source over one stream across many reels: drains each
+/// reel's own container source in catalog order and drops it — closing
+/// its file — once it ends. Each reel counts its own reads.
+class ReelChainSource final : public FrameSource {
  public:
-  ReelSetSource(std::vector<FrameJob> jobs, int threads,
-                std::shared_ptr<ReadCounterCell> counters)
-      : jobs_(std::move(jobs)),
-        counters_(std::move(counters)),
-        threads_(std::min(ResolveThreadCount(threads),
-                          ThreadPool::kMaxThreads)),
-        window_(static_cast<size_t>(std::max(2, 2 * threads_))),
-        slots_(window_),
-        channel_(window_) {
-    if (jobs_.empty()) {
-      channel_.Close();
-      return;
-    }
-    driver_ = std::thread([this] { Drive(); });
-  }
-
-  ~ReelSetSource() override {
-    channel_.Close();  // unblocks a driver waiting to push
-    if (driver_.joinable()) driver_.join();
-  }
+  explicit ReelChainSource(std::vector<std::unique_ptr<FrameSource>> reels)
+      : reels_(std::move(reels)) {}
 
   Result<std::optional<media::Image>> Next() override {
-    std::optional<Result<media::Image>> item = channel_.Pop();
-    if (!item.has_value()) {
-      // Drained: the reel set ended, or the driver stopped on a failure
-      // that was not already handed out in-band.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!final_status_.ok()) return final_status_;
-      return std::optional<media::Image>();
+    while (next_ < reels_.size()) {
+      ULE_ASSIGN_OR_RETURN(std::optional<media::Image> frame,
+                           reels_[next_]->Next());
+      if (frame.has_value()) return frame;
+      reels_[next_++].reset();  // drained: close its file
     }
-    if (!item->ok()) return item->status();
-    return std::optional<media::Image>(std::move(*item).TakeValue());
+    return std::optional<media::Image>();
   }
 
  private:
-  void Drive() {
-    Status st = Status::OK();
-    try {
-      st = ParallelForOrdered(
-          0, jobs_.size(),
-          [this](size_t i) -> Status {
-            // Errors ride in the slot so the consumer can deliver them in
-            // stream order, exactly where a serial reader would hit them.
-            Result<media::Image> frame =
-                ReadFrameRecord(jobs_[i].path, jobs_[i].entry);
-            if (frame.ok() && counters_) {
-              counters_->Count(jobs_[i].entry.payload_len);
-            }
-            slots_[i % window_] = std::move(frame);
-            return Status::OK();
-          },
-          [this](size_t i) -> Status {
-            std::optional<Result<media::Image>>& slot = slots_[i % window_];
-            Result<media::Image> frame = std::move(*slot);
-            slot.reset();
-            const Status failure = frame.ok() ? Status::OK() : frame.status();
-            if (!channel_.Push(std::move(frame))) {
-              return Status::InvalidArgument("reel-set source abandoned");
-            }
-            // Do not produce past a delivered failure — the restore
-            // aborts at that record anyway.
-            return failure;
-          },
-          threads_, static_cast<int>(window_));
-    } catch (const std::exception& e) {
-      st = Status::IoError(std::string("reel-set source: ") + e.what());
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      final_status_ = std::move(st);
-    }
-    channel_.Close();
-  }
-
-  std::vector<FrameJob> jobs_;
-  std::shared_ptr<ReadCounterCell> counters_;
-  const int threads_;
-  const size_t window_;
-  std::vector<std::optional<Result<media::Image>>> slots_;
-  BoundedChannel<Result<media::Image>> channel_;
-  std::mutex mu_;
-  Status final_status_;
-  std::thread driver_;
+  std::vector<std::unique_ptr<FrameSource>> reels_;
+  size_t next_ = 0;  ///< the reel being drained
 };
 
 }  // namespace
@@ -285,18 +225,8 @@ Result<ReelCatalog> ReelCatalog::Parse(BytesView bytes) {
   catalog.reels.reserve(reel_count);
   for (uint32_t i = 0; i < reel_count; ++i) {
     CatalogReel reel;
-    uint16_t name_len = 0;
-    ULE_RETURN_IF_ERROR(r.GetU16(&name_len));
-    if (name_len == 0 || name_len > r.remaining()) {
-      return Status::Corruption("catalog reel " + std::to_string(i) +
-                                " has an implausible name length");
-    }
-    reel.name.resize(name_len);
-    for (uint16_t j = 0; j < name_len; ++j) {
-      uint8_t c = 0;
-      ULE_RETURN_IF_ERROR(r.GetU8(&c));
-      reel.name[j] = static_cast<char>(c);
-    }
+    ULE_ASSIGN_OR_RETURN(reel.name,
+                         ParseReelName(r, "reel " + std::to_string(i)));
     uint8_t has_bootstrap = 0;
     ULE_RETURN_IF_ERROR(r.GetU32(&reel.first_record));
     ULE_RETURN_IF_ERROR(r.GetU32(&reel.records));
@@ -344,18 +274,8 @@ Result<ReelCatalog> ReelCatalog::Parse(BytesView bytes) {
     catalog.parity.reels.reserve(parity_count);
     for (uint8_t p = 0; p < parity_count; ++p) {
       CatalogParityReel reel;
-      uint16_t name_len = 0;
-      ULE_RETURN_IF_ERROR(r.GetU16(&name_len));
-      if (name_len == 0 || name_len > r.remaining()) {
-        return Status::Corruption("catalog parity reel " + std::to_string(p) +
-                                  " has an implausible name length");
-      }
-      reel.name.resize(name_len);
-      for (uint16_t j = 0; j < name_len; ++j) {
-        uint8_t c = 0;
-        ULE_RETURN_IF_ERROR(r.GetU8(&c));
-        reel.name[j] = static_cast<char>(c);
-      }
+      ULE_ASSIGN_OR_RETURN(
+          reel.name, ParseReelName(r, "parity reel " + std::to_string(p)));
       ULE_RETURN_IF_ERROR(r.GetU64(&reel.bytes));
       ULE_RETURN_IF_ERROR(r.GetU32(&reel.file_crc));
       catalog.parity.reels.push_back(std::move(reel));
@@ -588,17 +508,12 @@ std::vector<ReelStats> ReelSetWriter::CurrentReelStats() const {
 // ---------------------------------------------------------------------------
 // Reader
 
-Result<std::unique_ptr<ReelSetReader>> ReelSetReader::Open(
-    const std::string& path) {
-  return Open(path, OpenOptions());
-}
-
 ReelSetReader::~ReelSetReader() {
   for (const std::string& temp : temp_files_) std::remove(temp.c_str());
 }
 
 Result<std::unique_ptr<ReelSetReader>> ReelSetReader::Open(
-    const std::string& path, const OpenOptions& opt) {
+    const std::string& path, const ReelOpenOptions& opt) {
   ULE_ASSIGN_OR_RETURN(ReelCatalog catalog, LoadCatalog(path));
   auto reader = std::unique_ptr<ReelSetReader>(new ReelSetReader());
   reader->path_ = path;
@@ -731,21 +646,13 @@ Result<std::string> ReelSetReader::ReadBootstrap() const {
 
 std::unique_ptr<FrameSource> ReelSetReader::OpenFrames(
     mocoder::StreamId id) const {
-  const RecordType want = id == mocoder::StreamId::kData
-                              ? RecordType::kDataFrame
-                              : RecordType::kSystemFrame;
-  std::vector<FrameJob> jobs;
+  std::vector<std::unique_ptr<FrameSource>> reels;
   for (size_t i = 0; i < reels_.size(); ++i) {
-    if (!reel_status_[i].ok()) continue;  // dead reel: its frames are lost
-    // The reel's own path, not the catalog name: a parity-reconstructed
-    // reel serves from its rebuilt temp copy.
-    const std::string& reel_path = reels_[i]->path();
-    for (const ContainerEntry& e : reels_[i]->entries()) {
-      if (e.type == want) jobs.push_back(FrameJob{reel_path, e});
-    }
+    // A dead reel's frames are lost; a parity-reconstructed one serves
+    // from its rebuilt copy.
+    if (reel_status_[i].ok()) reels.push_back(reels_[i]->OpenFrames(id));
   }
-  return std::make_unique<ReelSetSource>(std::move(jobs), restore_threads_,
-                                         counters_);
+  return std::make_unique<ReelChainSource>(std::move(reels));
 }
 
 Result<media::Image> ReelSetReader::ReadFrame(mocoder::StreamId id,
@@ -783,7 +690,7 @@ Result<Bytes> ReelSetReader::ReadIndexSection() const {
 }
 
 ReadCounters ReelSetReader::read_counters() const {
-  ReadCounters total = counters_->Snapshot();
+  ReadCounters total;
   for (const auto& reel : reels_) {
     if (!reel) continue;
     const ReadCounters r = reel->read_counters();
@@ -794,24 +701,20 @@ ReadCounters ReelSetReader::read_counters() const {
 }
 
 Status ReelSetReader::Verify() const {
+  // The digest sweep Open and scrub run: every data and parity reel must
+  // match its catalog row (sealed size + file CRC).
+  ULE_ASSIGN_OR_RETURN(SetHealth health, AssessSet(catalog_, dir_));
   for (size_t i = 0; i < catalog_.reels.size(); ++i) {
-    const CatalogReel& row = catalog_.reels[i];
     const std::string context =
-        "reel " + std::to_string(i) + " (" + row.name + "): ";
+        "reel " + std::to_string(i) + " (" + catalog_.reels[i].name + "): ";
     // Pre-reconstruction damage: a reel serving from a parity-rebuilt
     // copy is still a damaged artifact on disk, and verify's job is to
     // say so (scrub's is to repair it).
     if (!reel_damage_[i].ok()) return reel_damage_[i];
-    const std::string reel_path = JoinPath(dir_, row.name);
-    ULE_ASSIGN_OR_RETURN(FileDigest sealed, DigestFile(reel_path));
-    if (sealed.bytes != row.bytes) {
-      return Status::Corruption(
-          context + "file is " + std::to_string(sealed.bytes) +
-          " bytes, catalog records " + std::to_string(row.bytes));
-    }
-    if (sealed.crc != row.file_crc) {
+    // Damaged indices are sorted and any below `i` returned already.
+    if (!health.damaged_data.empty() && health.damaged_data.front() == i) {
       return Status::Corruption(context +
-                                "file CRC disagrees with the catalog");
+                                "file size or CRC disagrees with the catalog");
     }
     Status deep = reels_[i]->Verify();
     if (!deep.ok()) {
@@ -819,23 +722,13 @@ Status ReelSetReader::Verify() const {
     }
   }
   // Parity reels are part of the artifact too: a set whose parity
-  // rotted is one failure away from real loss, and skipping them here
-  // silently would defeat the whole point of scrubbing.
-  for (size_t p = 0; p < catalog_.parity.reels.size(); ++p) {
-    const CatalogParityReel& row = catalog_.parity.reels[p];
-    const std::string context =
-        "parity reel " + std::to_string(p) + " (" + row.name + "): ";
-    ULE_ASSIGN_OR_RETURN(FileDigest sealed, DigestFile(JoinPath(dir_,
-                                                                row.name)));
-    if (sealed.bytes != row.bytes) {
-      return Status::Corruption(
-          context + "file is " + std::to_string(sealed.bytes) +
-          " bytes, catalog records " + std::to_string(row.bytes));
-    }
-    if (sealed.crc != row.file_crc) {
-      return Status::Corruption(context +
-                                "file CRC disagrees with the catalog");
-    }
+  // rotted is one failure away from real loss.
+  if (!health.damaged_parity.empty()) {
+    const size_t p = health.damaged_parity.front();
+    return Status::Corruption("parity reel " + std::to_string(p) + " (" +
+                              catalog_.parity.reels[p].name +
+                              "): file size or CRC disagrees with the "
+                              "catalog");
   }
   return Status::OK();
 }

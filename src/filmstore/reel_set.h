@@ -19,14 +19,13 @@
 /// the CRC-32 of its sealed file bytes.
 ///
 /// `ReelSetReader` is a `ReelReader`: `ulectl restore/inspect/verify`
-/// walk a reel set exactly like a single reel. Reading fans out across
-/// reels — record loads run in parallel on the shared pool via
-/// `ParallelForOrdered` while frames are handed out strictly in stream
-/// order, so restored output and `DecodeStats` are byte-identical to the
-/// single-container path at any thread count and any shard size. A
-/// damaged or missing reel degrades to a per-reel `Status`: the set
-/// still opens, the surviving reels still restore every frame they own,
-/// and the outer code (FORMAT.md §4) recovers what it can of the rest.
+/// walk a reel set exactly like a single reel. Reading chains the reels'
+/// own ULE-C1 frame sources in catalog order, so restored output and
+/// `DecodeStats` are byte-identical to the single-container path at any
+/// shard size. A damaged or missing reel degrades to a per-reel
+/// `Status`: the set still opens, the surviving reels still restore
+/// every frame they own, and the outer code (FORMAT.md §4) recovers what
+/// it can of the rest.
 
 #ifndef ULE_FILMSTORE_REEL_SET_H_
 #define ULE_FILMSTORE_REEL_SET_H_
@@ -80,7 +79,7 @@ Result<FileDigest> DigestFile(const std::string& path);
 /// One reel's row in the catalog: where its records sit in the global
 /// stream and what its sealed file must look like.
 struct CatalogReel {
-  std::string name;            ///< file name, relative to the catalog
+  std::string name;            ///< bare file name in the catalog's directory
   uint32_t first_record = 0;   ///< global index of its first record
   uint32_t records = 0;        ///< records in this reel (incl. bootstrap)
   uint32_t first_data_frame = 0;    ///< global data-frame index range...
@@ -95,7 +94,7 @@ struct CatalogReel {
 /// One parity reel's row in the catalog's ULE-P1 section: its file name
 /// and what the encoded file must look like (docs/FORMAT.md §10.1).
 struct CatalogParityReel {
-  std::string name;       ///< file name, relative to the catalog
+  std::string name;       ///< bare file name in the catalog's directory
   uint64_t bytes = 0;     ///< encoded file size (header + stripe)
   uint32_t file_crc = 0;  ///< CRC-32 of the encoded file bytes
 };
@@ -124,7 +123,9 @@ struct ReelCatalog {
   /// Serializes to the ULE-R1 wire form (CRC-protected).
   Bytes Serialize() const;
   /// Parses and validates a serialized catalog: magic, binary version
-  /// (Unimplemented when unknown), trailing CRC, geometry.
+  /// (Unimplemented when unknown), trailing CRC, geometry, and that every
+  /// reel name is a bare file name (not empty, `.` or `..`, and without
+  /// `/`, `\` or NUL) — Corruption naming the row otherwise.
   static Result<ReelCatalog> Parse(BytesView bytes);
 };
 
@@ -224,22 +225,16 @@ class ReelSetWriter final : public ArchiveWriter {
 /// truncated or inconsistent with the catalog gets a per-reel error
 /// Status instead of failing the whole set, and every surviving reel
 /// still serves its frame ranges.
-class ReelSetReader final : public ReelReader, public SeekableSource {
+class ReelSetReader final : public ReelReader {
  public:
-  struct OpenOptions {
-    /// When the catalog carries a ULE-P1 section, digest every reel on
-    /// open and transparently reconstruct up to m damaged data reels
-    /// from parity (into temp files removed when the reader closes)
-    /// before the per-emblem recovery ever sees a loss. Off: damage
-    /// stays per-reel, as in a parity-less set.
-    bool reconstruct = true;
-  };
-
   /// Opens the catalog at `path`. Fails only when the catalog itself is
   /// unreadable/corrupt; per-reel damage is reported via reel_status().
-  static Result<std::unique_ptr<ReelSetReader>> Open(const std::string& path);
-  static Result<std::unique_ptr<ReelSetReader>> Open(const std::string& path,
-                                                     const OpenOptions& opt);
+  /// When the catalog carries a ULE-P1 section, every reel is digested on
+  /// open and, with `options.reconstruct`, up to m damaged data reels are
+  /// rebuilt from parity (into temp files removed when the reader
+  /// closes) before the per-emblem recovery ever sees a loss.
+  static Result<std::unique_ptr<ReelSetReader>> Open(
+      const std::string& path, const ReelOpenOptions& options = {});
   ~ReelSetReader() override;
 
   const std::string& path() const { return path_; }
@@ -260,10 +255,6 @@ class ReelSetReader final : public ReelReader, public SeekableSource {
   const Status& parity_status(size_t p) const { return parity_status_[p]; }
   size_t surviving_reels() const;
 
-  /// Worker threads for the parallel reel-set source (0 = automatic).
-  /// Output is byte-identical at any setting.
-  void set_restore_threads(int threads) { restore_threads_ = threads; }
-
   const char* kind() const override { return "ULE-R1 reel set"; }
   const mocoder::Options& emblem_options() const override {
     return catalog_.emblem_options;
@@ -277,9 +268,8 @@ class ReelSetReader final : public ReelReader, public SeekableSource {
   bool has_bootstrap() const override;
   Result<std::string> ReadBootstrap() const override;
   /// Pull source over one stream's frames across every *surviving* reel,
-  /// in global stream order. Record loads fan out over the shared pool
-  /// (`set_restore_threads`); delivery order, and therefore restored
-  /// bytes and DecodeStats, are identical at any thread count.
+  /// in global stream order: each reel's own container source in catalog
+  /// order, each dropped (its file closed) once drained.
   std::unique_ptr<FrameSource> OpenFrames(
       mocoder::StreamId id) const override;
   /// Reads one frame by its *global* stream position: the catalog's
@@ -291,16 +281,15 @@ class ReelSetReader final : public ReelReader, public SeekableSource {
   /// Scans the reels last-to-first for the ULE-S1 record; writers put it
   /// on the final reel, but any surviving copy is accepted.
   Result<Bytes> ReadIndexSection() const override;
-  /// Streaming reads (the set's sources) plus seek reads served by the
-  /// individual reels, combined.
+  /// The reels' own counters (streamed and seek reads), summed.
   ReadCounters read_counters() const override;
   /// Validates the whole set *as stored*: every data and parity reel
-  /// matches its catalog row (sealed size + file CRC) and every data
-  /// reel passes the container integrity pass. Reconstruction does not
-  /// mask damage here — a reel serving from a parity-rebuilt copy still
-  /// fails Verify with the original damage, because the artifact on
-  /// disk needs repair. The error names the failing reel (index + file)
-  /// and record.
+  /// matches its catalog row (sealed size + file CRC, via `AssessSet`)
+  /// and every data reel passes the container integrity pass.
+  /// Reconstruction does not mask damage here — a reel serving from a
+  /// parity-rebuilt copy still fails Verify with the original damage,
+  /// because the artifact on disk needs repair. The error names the
+  /// first failing reel in catalog order (index + file) and record.
   Status Verify() const override;
 
  private:
@@ -315,9 +304,6 @@ class ReelSetReader final : public ReelReader, public SeekableSource {
   std::vector<Status> parity_status_;  ///< per parity reel
   std::vector<bool> reconstructed_;    ///< reel i serves a rebuilt copy
   std::vector<std::string> temp_files_;  ///< rebuilt copies, removed on close
-  int restore_threads_ = 0;
-  std::shared_ptr<ReadCounterCell> counters_ =
-      std::make_shared<ReadCounterCell>();
 };
 
 }  // namespace filmstore

@@ -13,6 +13,7 @@
 #include "filmstore/container.h"
 #include "filmstore/parity.h"
 #include "filmstore/reel_set.h"
+#include "support/io.h"
 #include "support/parallel.h"
 
 namespace ule {
@@ -20,11 +21,6 @@ namespace filmstore {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  if (dir.empty()) return name;
-  return (fs::path(dir) / name).string();
-}
 
 // ---------------------------------------------------------------------------
 // JSON emission (hand-rolled: deterministic field order, no deps)

@@ -1,5 +1,6 @@
 #include "support/io.h"
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -36,6 +37,10 @@ Status WriteFileText(const std::string& path, std::string_view text) {
   return WriteFileBytes(
       path, BytesView(reinterpret_cast<const uint8_t*>(text.data()),
                       text.size()));
+}
+
+std::string JoinPath(const std::string& dir, const std::string& name) {
+  return (std::filesystem::path(dir) / name).string();
 }
 
 }  // namespace ule

@@ -30,6 +30,9 @@ Status WriteFileBytes(const std::string& path, BytesView data);
 /// Writes `text` to `path`, replacing any existing file.
 Status WriteFileText(const std::string& path, std::string_view text);
 
+/// `dir/name` in the host's path syntax; just `name` when `dir` is empty.
+std::string JoinPath(const std::string& dir, const std::string& name);
+
 }  // namespace ule
 
 #endif  // ULE_SUPPORT_IO_H_

@@ -652,7 +652,7 @@ TEST(ContainerTest, ReadPayloadRejectsForeignEntry) {
 }
 
 TEST(ContainerTest, SeekReadsInterleaveWithStreaming) {
-  // The seek path (SeekableSource::ReadFrame) and the streaming path
+  // The seek path (ReelReader::ReadFrame) and the streaming path
   // (OpenFrames/Next) must not disturb each other on either single-reel
   // backend: stream half the reel, seek around it, stream the rest.
   const EncodedStream data = MakeStream(mocoder::StreamId::kData, 3000, 42);
@@ -670,8 +670,7 @@ TEST(ContainerTest, SeekReadsInterleaveWithStreaming) {
   for (const std::string& target : {file_path, dir}) {
     auto reel = OpenReel(target);
     ASSERT_TRUE(reel.ok()) << reel.status().ToString();
-    const auto* seek = dynamic_cast<const SeekableSource*>(reel.value().get());
-    ASSERT_NE(seek, nullptr) << reel.value()->kind();
+    const ReelReader* seek = reel.value().get();
 
     auto source = reel.value()->OpenFrames(mocoder::StreamId::kData);
     const size_t half = data.frames.size() / 2;

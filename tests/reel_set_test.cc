@@ -1,6 +1,6 @@
 // The ULE-R1 reel-set layer: sharding one archive across many ULE-C1
-// reels under a catalog, restoring them in parallel with byte-identical
-// output at any thread count and shard size, and degrading cleanly —
+// reels under a catalog, restoring them in catalog order with
+// byte-identical output at any shard size, and degrading cleanly —
 // a deleted reel, a truncated reel, or a flipped catalog byte must cost
 // exactly the frames involved (surfaced as Status), never a crash or a
 // silently wrong restore.
@@ -20,6 +20,7 @@
 #include "filmstore/reel_reader.h"
 #include "filmstore/reel_set.h"
 #include "filmstore/scanner_source.h"
+#include "filmstore/scrub.h"
 #include "media/scanner.h"
 #include "mocoder/mocoder.h"
 #include "support/crc32.h"
@@ -80,15 +81,11 @@ TEST(ReelSetTest, ShardsByFramesAndRoundTripsAtAnyThreadCount) {
     expect_first_data += row.data_frames;
   }
 
-  // Byte-identical frame delivery regardless of restore fan-out.
-  for (const int threads : {1, 4}) {
-    reader.value()->set_restore_threads(threads);
-    auto data_source = reader.value()->OpenFrames(mocoder::StreamId::kData);
-    ExpectSameFrames(Drain(*data_source), data.frames);
-    auto system_source =
-        reader.value()->OpenFrames(mocoder::StreamId::kSystem);
-    ExpectSameFrames(Drain(*system_source), system.frames);
-  }
+  // Byte-identical frame delivery across the reel boundaries.
+  auto data_source = reader.value()->OpenFrames(mocoder::StreamId::kData);
+  ExpectSameFrames(Drain(*data_source), data.frames);
+  auto system_source = reader.value()->OpenFrames(mocoder::StreamId::kSystem);
+  ExpectSameFrames(Drain(*system_source), system.frames);
   EXPECT_TRUE(reader.value()->Verify().ok());
 }
 
@@ -205,13 +202,9 @@ TEST_F(ReelSetFaultTest, DeletedReelDegradesToItsFrameRange) {
   EXPECT_FALSE(reader.value()->reel_status(dead).ok());
   EXPECT_NE(reader.value()->reel_status(dead).message().find("reel 1"),
             std::string::npos);
-  // The surviving reels still serve exactly their frame ranges, at any
-  // fan-out.
-  for (const int threads : {1, 4}) {
-    reader.value()->set_restore_threads(threads);
-    auto source = reader.value()->OpenFrames(mocoder::StreamId::kData);
-    ExpectSameFrames(Drain(*source), SurvivingDataFrames(dead));
-  }
+  // The surviving reels still serve exactly their frame ranges.
+  auto source = reader.value()->OpenFrames(mocoder::StreamId::kData);
+  ExpectSameFrames(Drain(*source), SurvivingDataFrames(dead));
   // Verify refuses the set and names the missing reel.
   Status verify = reader.value()->Verify();
   ASSERT_FALSE(verify.ok());
@@ -272,8 +265,8 @@ TEST_F(ReelSetFaultTest, UnknownCatalogVersionIsUnimplemented) {
 TEST_F(ReelSetFaultTest, FlippedRecordByteSurfacesMidStreamWithContext) {
   // Flip one payload byte inside reel 1's record region. The reel still
   // opens (its index is intact), so the error must surface exactly at
-  // that frame during the parallel read — as a Status naming the offset,
-  // never as wrong pixels.
+  // that frame during the read — as a Status naming the offset, never as
+  // wrong pixels.
   auto bytes = ReadFileBytes(ReelPath(1));
   ASSERT_TRUE(bytes.ok());
   Bytes mutated = std::move(bytes).TakeValue();
@@ -283,7 +276,6 @@ TEST_F(ReelSetFaultTest, FlippedRecordByteSurfacesMidStreamWithContext) {
   auto reader = ReelSetReader::Open(path_);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_TRUE(reader.value()->reel_status(1).ok());  // index is intact
-  reader.value()->set_restore_threads(4);
   auto source = reader.value()->OpenFrames(mocoder::StreamId::kData);
   // Frames before the bad record still arrive (reel 0's full range).
   const uint32_t good = catalog_.reels[0].data_frames;
@@ -316,7 +308,7 @@ TEST(ReelSetTest, SeekReadsInterleaveWithStreamingAcrossReels) {
   auto reader = ReelSetReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ASSERT_GE(reader.value()->catalog().reels.size(), 3u);
-  const SeekableSource& seek = *reader.value();
+  const ReelReader& seek = *reader.value();
 
   auto source = reader.value()->OpenFrames(mocoder::StreamId::kData);
   std::vector<media::Image> streamed;
@@ -553,7 +545,7 @@ TEST(ReelSetParityTest, ParityHealsLostReelsTransparently) {
 
   // reconstruct=false opens the set as a parity-less reader would: two
   // reels dead, no recovery temp files written.
-  ReelSetReader::OpenOptions opt;
+  ReelOpenOptions opt;
   opt.reconstruct = false;
   auto raw = ReelSetReader::Open(path, opt);
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
@@ -613,6 +605,53 @@ TEST(ReelSetParityTest, VerifyNamesDamagedParityReel) {
   ASSERT_FALSE(verify.ok());
   EXPECT_NE(verify.message().find(parity_name), std::string::npos)
       << verify.ToString();
+}
+
+TEST(ReelSetParityTest, ForgedReelNamesCannotLeaveTheArchiveDirectory) {
+  // Catalog rows name their reels by bare file name. A forged row (CRC
+  // re-sealed, so only the name is wrong) naming anything that resolves
+  // elsewhere must be refused at parse time — before open, parity repair
+  // or scrub joins it onto the catalog's directory and reads or writes
+  // outside the archive.
+  const EncodedStream data = MakeStream(mocoder::StreamId::kData, 2200, 70);
+  const EncodedStream system = MakeStream(mocoder::StreamId::kSystem, 0, 71);
+  const std::string dir = testing::TempDir() + "forged_names/";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "forged.uler";
+  testutil::WriteSetAt(path, data, system, ByFrames(4), /*parity_reels=*/1);
+  auto pristine = LoadCatalog(path);
+  ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
+  const std::string victim = testing::TempDir() + "victim.ulec";
+  std::filesystem::remove(victim);
+
+  const std::string bad_names[] = {
+      "",   "../victim.ulec", "..", ".", "sub/reel.ulec", "sub\\reel.ulec",
+      std::string("reel\0.ulec", 10)};
+  for (const bool parity_row : {false, true}) {
+    const std::string row = parity_row ? "parity reel 0" : "reel 0";
+    auto forge = [&](const std::string& name) {
+      ReelCatalog forged = pristine.value();
+      (parity_row ? forged.parity.reels[0].name : forged.reels[0].name) =
+          name;
+      return forged.Serialize();
+    };
+    for (const std::string& bad : bad_names) {
+      auto parsed = ReelCatalog::Parse(forge(bad));
+      ASSERT_FALSE(parsed.ok()) << row << " named '" << bad << "'";
+      EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(parsed.status().message().find("catalog " + row + " "),
+                std::string::npos)
+          << parsed.status().ToString();
+    }
+    // On disk the forged set neither opens nor lets a scrub repair write
+    // the "missing" reel one directory above the archive.
+    ASSERT_TRUE(WriteFileBytes(path, forge("../victim.ulec")).ok());
+    EXPECT_FALSE(ReelSetReader::Open(path).ok()) << row;
+    auto scrubbed = ScrubArchive(path, /*repair=*/true);
+    ASSERT_TRUE(scrubbed.ok()) << scrubbed.status().ToString();
+    EXPECT_EQ(scrubbed.value().state, ArchiveState::kDataLoss) << row;
+    EXPECT_FALSE(std::filesystem::exists(victim)) << row;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -688,7 +727,6 @@ TEST(ReelSetPipelineTest, ShardedArchiveRestoresIdenticallyToSingleReel) {
   for (const int threads : {1, 4}) {
     auto set_reel = ReelSetReader::Open(set_path);
     ASSERT_TRUE(set_reel.ok());
-    set_reel.value()->set_restore_threads(threads);
     mocoder::Options restore_options = set_reel.value()->emblem_options();
     restore_options.threads = threads;
     core::RestoreStats set_stats;
@@ -733,7 +771,6 @@ TEST(ReelSetPipelineTest, LostReelWithinOuterBudgetStillRestoresExactly) {
 
   auto reader = ReelSetReader::Open(set_path);
   ASSERT_TRUE(reader.ok());
-  reader.value()->set_restore_threads(4);
   core::RestoreStats stats;
   auto data = reader.value()->OpenFrames(mocoder::StreamId::kData);
   auto system = reader.value()->OpenFrames(mocoder::StreamId::kSystem);
@@ -766,7 +803,6 @@ TEST(ReelSetPipelineTest, ScannerShimRestoresThroughSimulatedScans) {
 
   auto reader = ReelSetReader::Open(set_path);
   ASSERT_TRUE(reader.ok());
-  reader.value()->set_restore_threads(2);
 
   // The realistic path: every frame leaves the reels through the scanner
   // simulation (the same distortion end_to_end_test survives), one at a

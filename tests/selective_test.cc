@@ -270,10 +270,6 @@ void RunAcceptance(const std::string& archive_path) {
   // Selective restore of one table through a fresh reader.
   auto reader = filmstore::OpenReel(archive_path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  if (auto* set =
-          dynamic_cast<filmstore::ReelSetReader*>(reader.value().get())) {
-    set->set_restore_threads(4);
-  }
   RestorePredicate pred;
   pred.table = "orders";
   SelectiveOptions options;

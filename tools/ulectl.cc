@@ -19,8 +19,8 @@
 // archives larger than RAM are fine); restoration pulls them back
 // frame-at-a-time through the streaming native or fully emulated path.
 // With --shard-frames/--shard-bytes one archive spans many ULE-C1 reels
-// under a ULE-R1 catalog; reels restore in parallel, and a lost reel
-// only costs the frames it owned.
+// under a ULE-R1 catalog; reels restore one after another in catalog
+// order, and a lost reel only costs the frames it owned.
 
 #include <cerrno>
 #include <cstdint>
@@ -455,10 +455,6 @@ int RunRestoreSelective(const Args& args) {
   }
   auto reel = filmstore::OpenReel(args.in);
   if (!reel.ok()) return Fail(reel.status());
-  if (auto* set =
-          dynamic_cast<filmstore::ReelSetReader*>(reel.value().get())) {
-    set->set_restore_threads(args.threads);
-  }
 
   core::RestorePredicate pred;
   pred.table = args.table;
@@ -509,7 +505,6 @@ int RunRestore(const Args& args) {
   mocoder::Options options = reel.value()->emblem_options();
   options.threads = args.threads;
   if (auto* set = dynamic_cast<filmstore::ReelSetReader*>(reel.value().get())) {
-    set->set_restore_threads(args.threads);
     // Restoring through damage is the point of the reel set, but the user
     // should know the frames of a dead reel are riding on the outer code.
     for (size_t i = 0; i < set->catalog().reels.size(); ++i) {

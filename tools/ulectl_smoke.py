@@ -4,15 +4,15 @@
 Round-trips the CLI surface end to end on a temp directory:
 
   archive (TPC-H dump -> ULE-C1 container) -> inspect -> verify ->
-  restore (native), then the same through a browsable directory reel,
+  restore (native, then one table selectively), then the same through a browsable directory reel,
   an interrupted-spool recovery via `ulectl resume` and an emulated
   restore of the golden archive in tests/golden/, and checks the
   restored dumps are byte-identical to the archived ones.
 
 With --sharded, runs the reel-set loop instead: archive sharded across
 ULE-C1 reels under a ULE-R1 catalog at --threads 4, inspect/verify the
-catalog, restore in parallel, and check a deleted reel is reported by
-name.
+catalog, restore it whole and one table of it, and check a deleted reel
+is reported by name.
 
 With --scrub, runs the fleet loop: 20 mixed archives (ULE-P1 parity
 reel sets and standalone containers) with injected whole-reel damage,
@@ -58,6 +58,20 @@ def run_expect_failure(argv, needles):
     return proc.stdout
 
 
+def restore_orders(ulectl, archive, dump, out, threads):
+    """Whole-table selective restore: a byte-exact slice of the dump."""
+    printed = run([ulectl, "restore", "--in", archive, "--table", "orders",
+                   "--out", out, "--threads", threads])
+    if "selective path" not in printed:
+        sys.exit("table restore did not report the selective path")
+    with open(dump, "rb") as f:
+        whole = f.read()
+    with open(out, "rb") as f:
+        table = f.read()
+    if not table or table not in whole:
+        sys.exit("table restore is not a byte-exact slice of the dump")
+
+
 def smoke_single(ulectl, td):
     reel = os.path.join(td, "reel.ulec")
     dump = os.path.join(td, "dump.sql")
@@ -76,6 +90,7 @@ def smoke_single(ulectl, td):
          "--threads", "2"])
     if not filecmp.cmp(dump, restored, shallow=False):
         sys.exit("container round trip: restored dump differs")
+    restore_orders(ulectl, reel, dump, os.path.join(td, "orders.sql"), "2")
 
     # The same loop through the human-browsable directory backend.
     reel_dir = os.path.join(td, "reel_dir")
@@ -166,6 +181,8 @@ def smoke_sharded(ulectl, td):
          "--threads", "4"])
     if not filecmp.cmp(dump, restored, shallow=False):
         sys.exit("sharded round trip: restored dump differs")
+    restore_orders(ulectl, catalog, dump, os.path.join(td, "orders.sql"),
+                   "4")
 
     # A deleted reel must be called out by name — inspect still works,
     # verify refuses.
