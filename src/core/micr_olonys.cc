@@ -21,6 +21,12 @@ Status ValidateArchiveOptions(const ArchiveOptions& options) {
         " exceeds " + std::to_string(decoders::kModecodeMaxDataSide) +
         ", the largest grid the archived MODecode decodes");
   }
+  if (options.scheme > dbcoder::Scheme::kLzac) {
+    return Status::InvalidArgument(
+        std::string("DBCoder scheme ") + dbcoder::SchemeName(options.scheme) +
+        " cannot be archived: the archived DBDecode decodes only store, "
+        "lzss and lzac");
+  }
   return Status::OK();
 }
 
@@ -112,8 +118,8 @@ Result<ArchiveSummary> ArchiveDumpStreaming(const std::string& sql_dump,
 
 namespace {
 
-/// Pull-decodes one stream: frames go straight from `source` into the
-/// streaming decoder, which keeps at most O(threads) of them alive.
+/// Pull-decodes one stream: mocoder::DecodeStream reads `source` and
+/// keeps at most O(threads) of its frames alive.
 /// `decode` (when set) replaces the native inner decode — the emulated
 /// path plugs in the archived MODecode under nested emulation, and also
 /// counts unsampled scans (the historian's stats are about the reel).
@@ -125,17 +131,16 @@ Result<Bytes> DecodeSourceStream(filmstore::FrameSource& source,
                                  mocoder::GridDecodeFn decode,
                                  bool count_unsampled, bool skip_if_empty,
                                  mocoder::DecodeStats* stats) {
-  mocoder::StreamDecoder decoder(id, emblem_options, std::move(decode),
-                                 count_unsampled);
-  size_t pushed = 0;
-  for (;;) {
-    ULE_ASSIGN_OR_RETURN(std::optional<media::Image> frame, source.Next());
-    if (!frame.has_value()) break;
-    ++pushed;
-    ULE_RETURN_IF_ERROR(decoder.Push(std::move(*frame)));
-  }
-  if (skip_if_empty && pushed == 0) return Bytes();
-  return decoder.Finish(stats);
+  bool empty = true;  // the source yielded neither a frame nor an error
+  Result<Bytes> stream = mocoder::DecodeStream(
+      [&] {
+        auto frame = source.Next();
+        empty = empty && frame.ok() && !frame.value().has_value();
+        return frame;
+      },
+      id, emblem_options, std::move(decode), count_unsampled, stats);
+  if (skip_if_empty && empty) return Bytes();
+  return stream;
 }
 
 /// Step cap of one archived MODecode run (and the ceiling of every

@@ -94,8 +94,9 @@ struct ArchiveSummary {
 };
 
 /// Checks `options` before anything is written: the emblem options must
-/// be valid, and data_side must not exceed decoders::kModecodeMaxDataSide,
-/// or the archive's own Bootstrap could not restore it.
+/// be valid, data_side must not exceed decoders::kModecodeMaxDataSide, and
+/// the DBCoder scheme must be one the archived DBDecode decodes (store,
+/// lzss or lzac), or the archive's own Bootstrap could not restore it.
 Status ValidateArchiveOptions(const ArchiveOptions& options);
 
 /// \brief Steps 1-7: archives a textual database dump. Frames flow to

@@ -6,19 +6,20 @@
 /// Decoding: scanned images → sampled intensity grids → per-emblem decode
 /// → outer reassembly (erasure recovery of whole lost emblems).
 ///
-/// There is one pipeline per direction, and both stream (`EncodeToSink` /
-/// `StreamDecoder`): emblems flow stage-to-stage through a bounded window
-/// on the shared thread pool, so peak memory for grids and frames is
-/// O(threads × emblem) — the shape `core::ArchiveDumpStreaming`, both
-/// `core` restores and real scanners use. The on-film format is specified
-/// in docs/FORMAT.md.
+/// There is one pipeline per direction, and both stream on the shared
+/// thread pool with a bounded window, so peak memory for grids and frames
+/// is O(threads × emblem): `EncodeToSink` hands emblems to a sink in
+/// sequence order (ParallelForOrdered), and `DecodeStream` pulls scans
+/// from a reel, a scanner or a frame generator (ParallelFor with the
+/// calling thread as the reader). `core::ArchiveDumpStreaming` and both `core` restores are
+/// built on them. The on-film format is specified in docs/FORMAT.md.
 
 #ifndef ULE_MOCODER_MOCODER_H_
 #define ULE_MOCODER_MOCODER_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 
 #include "media/image.h"
 #include "mocoder/detect.h"
@@ -74,13 +75,13 @@ Status EncodeToSink(BytesView stream, StreamId id, const Options& options,
 /// Renders one encoded emblem to pixels.
 media::Image Render(const EncodedEmblem& emblem, const Options& options);
 
-/// Per-stream statistics of StreamDecoder (experiment E8/E12 report these).
+/// Per-stream statistics of DecodeStream (experiment E8/E12 report these).
 struct DecodeStats {
-  int emblems_total = 0;      ///< scans pushed (see count_unsampled)
+  int emblems_total = 0;      ///< scans pulled (see count_unsampled)
   int emblems_decoded = 0;    ///< emblems whose inner decode succeeded
   int emblems_recovered = 0;  ///< lost emblems rebuilt by the outer code
   int rs_errors_corrected = 0;
-  uint64_t steps = 0;  ///< summed GridDecodeResult::steps of every push
+  uint64_t steps = 0;  ///< summed GridDecodeResult::steps of every scan
 };
 
 /// Outcome of decoding one sampled intensity grid (see GridDecodeFn).
@@ -99,48 +100,36 @@ struct GridDecodeResult {
 /// under nested emulation.
 using GridDecodeFn = std::function<GridDecodeResult(BytesView grid)>;
 
-/// \brief Push-driven streaming decoder for one emblem stream.
+/// \brief Pulls the next scan of a stream: a scan, std::nullopt at the
+/// end of the reel, or an error Status (the shape of
+/// filmstore::FrameSource::Next).
+using FramePull = std::function<Result<std::optional<media::Image>>()>;
+
+/// \brief Decodes one emblem stream from scans pulled one at a time.
 ///
-/// Scans are pushed one at a time — from a frame source, a scanner, or a
-/// frame generator — and are sampled + inner-decoded concurrently on the
-/// shared pool with a bounded number in flight, so peak image/grid memory
-/// is O(threads × emblem) regardless of archive size. Only the small
-/// per-emblem records (header + payload) accumulate. `Finish` performs the
-/// deterministic serial merge (outer-code reassembly) in push order,
-/// making output and DecodeStats byte-identical at any thread count.
+/// One ParallelFor on the shared pool: the calling thread pulls scans in
+/// order into a bounded channel (2 × threads scans), decoding a queued
+/// scan itself while the channel is full, and every worker (the caller
+/// too, once the reel ends) samples and inner-decodes scans off it. Peak
+/// image/grid memory is O(threads × emblem); only the small per-emblem
+/// records accumulate. The outer-code merge runs serially in pull order,
+/// so output and DecodeStats are byte-identical at any thread count.
 /// Tolerates missing/destroyed emblems up to the outer code's budget (3
 /// per group of 20).
 ///
-/// Not thread-safe: Push/Finish must be called from one thread.
-class StreamDecoder {
- public:
-  /// `decode` replaces the native inner decode when set.
-  /// `count_unsampled` controls whether scans whose emblem could not be
-  /// sampled at all count into DecodeStats::emblems_total (the native
-  /// restore excludes them; the emulated restore path counts every scan).
-  StreamDecoder(StreamId id, const Options& options,
-                GridDecodeFn decode = nullptr, bool count_unsampled = false);
-  /// Drains outstanding work (discarding results) if Finish was not called.
-  ~StreamDecoder();
-
-  StreamDecoder(const StreamDecoder&) = delete;
-  StreamDecoder& operator=(const StreamDecoder&) = delete;
-
-  /// Queues one scan, transferring ownership. Blocks (by helping decode)
-  /// when the bounded window is full.
-  Status Push(media::Image scan);
-
-  /// Completes all queued work and reassembles the stream. An exception
-  /// thrown by the decode function (or during sampling) is captured on the
-  /// worker and rethrown here, lowest push index first — the ParallelFor
-  /// contract. A second Finish, or a Push after Finish, returns
-  /// InvalidArgument.
-  Result<Bytes> Finish(DecodeStats* stats = nullptr);
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
+/// `next` runs on the calling thread until it returns nullopt or an
+/// error. `decode` replaces the native inner
+/// decode when set. `count_unsampled` counts scans whose emblem could not
+/// be sampled at all into DecodeStats::emblems_total (the emulated
+/// restore does; the native one does not). Once every decode in flight
+/// has finished, a read error (Status or exception) from `next` wins;
+/// otherwise an exception from `decode` or sampling is rethrown, lowest
+/// pull index first — the ParallelFor contract.
+Result<Bytes> DecodeStream(const FramePull& next, StreamId id,
+                           const Options& options,
+                           GridDecodeFn decode = nullptr,
+                           bool count_unsampled = false,
+                           DecodeStats* stats = nullptr);
 
 }  // namespace mocoder
 }  // namespace ule

@@ -1,7 +1,5 @@
 #include "olonys/dynarisc_in_verisc.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "dynarisc/isa.h"
@@ -17,18 +15,6 @@ using verisc::Builder;
 using Cell = Builder::Cell;
 using Label = Builder::Label;
 using Fn = Builder::Fn;
-
-/// Engine slice size for incremental nested emulation (~tens of ms per
-/// slice at current dispatch throughput).
-inline constexpr uint64_t kNestedSliceSteps = 1ull << 24;
-
-/// Test override for the slice size (0 = use the default).
-std::atomic<uint64_t> g_nested_slice_steps{0};
-
-uint64_t NestedSliceSteps() {
-  const uint64_t v = g_nested_slice_steps.load(std::memory_order_relaxed);
-  return v != 0 ? v : kNestedSliceSteps;
-}
 
 /// Generates the interpreter. Structured as one long emitter; every guest
 /// architectural element is an interpreter cell, every opcode a handler.
@@ -988,24 +974,17 @@ verisc::Program BuildInterpreter(WarmInterpreter* warm_out) {
   return program;
 }
 
-/// Drives a loaded machine to completion in bounded slices, honouring the
-/// caller's step budget. Shared by the cold and warm reference paths.
+/// Runs a loaded machine to completion within the caller's step budget.
+/// Shared by the cold and warm reference paths.
 Result<Bytes> DriveMachine(verisc::Machine& machine,
                            const verisc::RunOptions& options) {
-  const uint64_t slice = NestedSliceSteps();
-  for (;;) {
-    const uint64_t left = options.max_steps - machine.steps();
-    switch (machine.RunFor(std::min<uint64_t>(left, slice))) {
-      case verisc::MachineState::kHalted:
-        return machine.TakeOutput();
-      case verisc::MachineState::kFault:
-        return Status::ExecutionFault("nested emulation fault");
-      default:
-        if (machine.steps() >= options.max_steps) {
-          return Status::ResourceExhausted(
-              "nested emulation exceeded step limit");
-        }
-    }
+  switch (machine.RunFor(options.max_steps)) {
+    case verisc::MachineState::kHalted:
+      return machine.TakeOutput();
+    case verisc::MachineState::kFault:
+      return Status::ExecutionFault("nested emulation fault");
+    default:
+      return Status::ResourceExhausted("nested emulation exceeded step limit");
   }
 }
 
@@ -1023,10 +1002,6 @@ const WarmInterpreter& WarmDynaRiscInterpreter() {
     return w;
   }();
   return kWarm;
-}
-
-void SetNestedSliceStepsForTest(uint64_t steps) {
-  g_nested_slice_steps.store(steps, std::memory_order_relaxed);
 }
 
 Bytes PackNestedInput(const dynarisc::Program& program, BytesView input) {
@@ -1051,11 +1026,9 @@ Result<Bytes> RunNested(const dynarisc::Program& program, BytesView input,
   }
 
   if (reference) {
-    // Reference path: drive the execution engine incrementally, in
-    // bounded slices, instead of one monolithic run. The per-thread
-    // machine keeps its 4 MiB memory image across nested invocations,
-    // and the slice loop is where future callers can interleave progress
-    // reporting or cancellation without touching the engine.
+    // Reference path: drive the execution engine directly. The
+    // per-thread machine keeps its 4 MiB memory image across nested
+    // invocations.
     verisc::Machine& machine = verisc::ThreadLocalMachine();
 
     if (mode != NestedMode::kCold) {

@@ -131,11 +131,6 @@ Result<Bytes> RunNested(const dynarisc::Program& program, BytesView input,
                         NestedMode mode = NestedMode::kAuto,
                         NestedRunStats* stats = nullptr);
 
-/// Test hook: overrides the engine slice size used by RunNested's
-/// incremental loop (0 restores the default). Lets tests exercise
-/// mid-slice pauses cheaply.
-void SetNestedSliceStepsForTest(uint64_t steps);
-
 }  // namespace olonys
 }  // namespace ule
 

@@ -165,7 +165,7 @@ Status ParallelForOrdered(size_t begin, size_t end,
 /// To stay deadlock-free on the shared pool, in-tree pipeline code never
 /// blocks in Push from a thread that is also responsible for consuming —
 /// it uses TryPush and drains one item itself when the channel is full
-/// (see mocoder::StreamDecoder).
+/// (see mocoder::DecodeStream).
 template <typename T>
 class BoundedChannel {
  public:

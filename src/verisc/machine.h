@@ -16,8 +16,8 @@
 /// Callers that only need the paper semantics should keep using
 /// `verisc::Run`; it is a thin adapter over a per-thread Machine. Callers
 /// that drive long emulations (the nested DynaRisc-in-VeRisc pipeline)
-/// use `RunFor` to execute in bounded slices and observe progress between
-/// slices.
+/// use the Machine directly and run it with `RunFor` under a step budget;
+/// a run paused at its budget can be resumed with another `RunFor`.
 
 #ifndef ULE_VERISC_MACHINE_H_
 #define ULE_VERISC_MACHINE_H_

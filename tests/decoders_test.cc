@@ -299,6 +299,27 @@ TEST(ModecodeTest, ArchiveRefusesGridsBeyondTheMemoryMap) {
   }
 }
 
+TEST(DbDecodeTest, ArchiveRefusesSchemesBeyondLzac) {
+  // The archived DBDecode dispatches only store, lzss and lzac; any other
+  // scheme falls through to its fail halt, so such an archive could not
+  // be restored by its own Bootstrap and is refused before the first
+  // frame is written.
+  core::ArchiveOptions options;
+  options.scheme = dbcoder::Scheme::kColumnar;
+  filmstore::MemoryStore store;
+  auto summary = core::ArchiveDumpStreaming(
+      "CREATE TABLE t (a INTEGER);\nINSERT INTO t VALUES (1);\n", options,
+      store);
+  ASSERT_FALSE(summary.ok());
+  EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(summary.status().message().find("columnar"), std::string::npos)
+      << summary.status().ToString();
+  for (mocoder::StreamId id :
+       {mocoder::StreamId::kData, mocoder::StreamId::kSystem}) {
+    EXPECT_TRUE(store.frames(id).empty());
+  }
+}
+
 TEST(ModecodeTest, PinnedInstructionCountOnCleanEmblem) {
   // The emulated restore's cost is MODecode's cost: a slower MODecode
   // must fail here, not only in the benchmark. On a clean emblem the

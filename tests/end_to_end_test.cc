@@ -216,12 +216,10 @@ TEST(EndToEndTest, EmulatedRestoreOfSegmentedArchive) {
 
   // The archived stream really is segmented, so the per-segment branch
   // of the emulated DBDecode driver is the one under test.
-  mocoder::StreamDecoder decoder(StreamId::kData,
-                                 summary.value().emblem_options);
-  for (const media::Image& frame : store.frames(StreamId::kData)) {
-    ASSERT_TRUE(decoder.Push(frame).ok());
-  }
-  auto stream = decoder.Finish();
+  auto frames = store.OpenFrames(StreamId::kData);
+  auto stream = mocoder::DecodeStream([&] { return frames->Next(); },
+                                      StreamId::kData,
+                                      summary.value().emblem_options);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   ASSERT_TRUE(dbcoder::IsSegmented(stream.value()));
   auto segments = dbcoder::ListSegments(stream.value());

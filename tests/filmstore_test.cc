@@ -111,11 +111,10 @@ TEST(MemoryStoreTest, RoundTripBothStreams) {
   ExpectSameFrames(Drain(*system_source), system.frames);
 
   // The stored frames still decode back to the payload.
-  mocoder::StreamDecoder decoder(mocoder::StreamId::kData, SmallOptions());
-  for (const media::Image& frame : store.frames(mocoder::StreamId::kData)) {
-    ASSERT_TRUE(decoder.Push(frame).ok());
-  }
-  auto decoded = decoder.Finish();
+  auto frames = store.OpenFrames(mocoder::StreamId::kData);
+  auto decoded = mocoder::DecodeStream([&] { return frames->Next(); },
+                                       mocoder::StreamId::kData,
+                                       SmallOptions());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value(), data.payload);
 }

@@ -1,7 +1,7 @@
 // Tests for MOCoder: emblem geometry/capacity, modulation round trips,
 // inner RS protection (7.2% claim), detection under scan distortion, the
 // outer 17+3 group code, full stream round trips through each media
-// profile, and the StreamDecoder contract.
+// profile, and the DecodeStream contract.
 
 #include <gtest/gtest.h>
 
@@ -633,6 +633,15 @@ Encoded Encode(BytesView stream, StreamId id, const Options& opt,
 
 Status DiscardSink(EncodedEmblem&&, media::Image&&) { return Status::OK(); }
 
+// Pulls copies of `frames` in order, then reports the end of the reel.
+FramePull PullFrames(const std::vector<media::Image>& frames) {
+  return [&frames, i = size_t{0}]() mutable
+         -> Result<std::optional<media::Image>> {
+    if (i == frames.size()) return std::optional<media::Image>();
+    return std::optional<media::Image>(frames[i++]);
+  };
+}
+
 TEST(MocoderTest, OptionsValidationRejectsNonsense) {
   const Bytes stream{1, 2, 3};
   Options bad_side;
@@ -653,14 +662,17 @@ TEST(MocoderTest, OptionsValidationRejectsNonsense) {
                          DiscardSink)
                 .code(),
             StatusCode::kInvalidArgument);
-  StreamDecoder bad_dots_decoder(StreamId::kData, bad_dots);
-  EXPECT_EQ(bad_dots_decoder.Push(media::Image(8, 8, 255)).code(),
+  const std::vector<media::Image> blank{media::Image(8, 8, 255)};
+  EXPECT_EQ(DecodeStream(PullFrames(blank), StreamId::kData, bad_dots)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 
   Options bad_quiet;
   bad_quiet.quiet_cells = -1;
-  StreamDecoder bad_quiet_decoder(StreamId::kData, bad_quiet);
-  EXPECT_EQ(bad_quiet_decoder.Finish().status().code(),
+  EXPECT_EQ(DecodeStream(PullFrames({}), StreamId::kData, bad_quiet)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 
   Options bad_threads;
@@ -715,15 +727,11 @@ TEST(MocoderTest, ParallelEncodeDecodeMatchesSerial) {
     EXPECT_EQ(a.emblems[i].grid.cells, b.emblems[i].grid.cells);
     EXPECT_EQ(a.frames[i].pixels(), b.frames[i].pixels());
   }
-  StreamDecoder decoder_a(StreamId::kData, serial);
-  StreamDecoder decoder_b(StreamId::kData, parallel);
-  for (size_t i = 0; i < a.frames.size(); ++i) {
-    ASSERT_TRUE(decoder_a.Push(std::move(a.frames[i])).ok());
-    ASSERT_TRUE(decoder_b.Push(std::move(b.frames[i])).ok());
-  }
   DecodeStats stats_a, stats_b;
-  auto dec_a = decoder_a.Finish(&stats_a);
-  auto dec_b = decoder_b.Finish(&stats_b);
+  auto dec_a = DecodeStream(PullFrames(a.frames), StreamId::kData, serial,
+                            nullptr, false, &stats_a);
+  auto dec_b = DecodeStream(PullFrames(b.frames), StreamId::kData, parallel,
+                            nullptr, false, &stats_b);
   ASSERT_TRUE(dec_a.ok());
   ASSERT_TRUE(dec_b.ok());
   EXPECT_EQ(dec_a.value(), stream);
@@ -744,14 +752,14 @@ TEST_P(MediaProfileRoundTrip, PrintScanDecode) {
   opt.dots_per_cell = profile.dots_per_cell;
   Encoded encoded = Encode(stream, StreamId::kData, opt);
 
-  StreamDecoder decoder(StreamId::kData, opt);
+  std::vector<media::Image> scans;
   for (media::Image& printed : encoded.frames) {
     if (profile.bitonal_write) {
       for (auto& px : printed.mutable_pixels()) px = px < 128 ? 0 : 255;
     }
-    ASSERT_TRUE(decoder.Push(media::Scan(printed, profile.scan)).ok());
+    scans.push_back(media::Scan(printed, profile.scan));
   }
-  auto back = decoder.Finish();
+  auto back = DecodeStream(PullFrames(scans), StreamId::kData, opt);
   ASSERT_TRUE(back.ok()) << profile.name << ": " << back.status().ToString();
   EXPECT_EQ(back.value(), stream) << profile.name;
 }
@@ -772,18 +780,19 @@ TEST(MocoderTest, LostEmblemsRecoveredThroughImages) {
   Options opt;
   opt.data_side = 80;
   Encoded encoded = Encode(stream, StreamId::kData, opt);
-  StreamDecoder decoder(StreamId::kData, opt);
+  std::vector<media::Image> kept;
   size_t skipped = 0;
   for (size_t i = 0; i < encoded.emblems.size(); ++i) {
     if (skipped < 2 && encoded.emblems[i].header.seq % 5 == 1) {
       ++skipped;  // simulate two destroyed frames
       continue;
     }
-    ASSERT_TRUE(decoder.Push(std::move(encoded.frames[i])).ok());
+    kept.push_back(std::move(encoded.frames[i]));
   }
   ASSERT_EQ(skipped, 2u);
   DecodeStats stats;
-  auto back = decoder.Finish(&stats);
+  auto back = DecodeStream(PullFrames(kept), StreamId::kData, opt, nullptr,
+                           false, &stats);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), stream);
   EXPECT_GT(stats.emblems_recovered, 0);
@@ -795,14 +804,11 @@ TEST(MocoderTest, WrongStreamIdRejected) {
   Options opt;
   opt.data_side = 65;
   Encoded encoded = Encode(stream, StreamId::kSystem, opt);
-  StreamDecoder decoder(StreamId::kData, opt);
-  for (media::Image& frame : encoded.frames) {
-    ASSERT_TRUE(decoder.Push(std::move(frame)).ok());
-  }
-  EXPECT_FALSE(decoder.Finish().ok());
+  EXPECT_FALSE(
+      DecodeStream(PullFrames(encoded.frames), StreamId::kData, opt).ok());
 }
 
-// ---------------- StreamDecoder contract ----------------
+// ---------------- DecodeStream contract ----------------
 
 // The native inner decode, for GridDecodeFns that wrap it.
 GridDecodeResult DecodeNative(BytesView grid, int data_side) {
@@ -814,15 +820,16 @@ GridDecodeResult DecodeNative(BytesView grid, int data_side) {
   return out;
 }
 
-// Every case runs serially (threads 1: each Push decodes inline) and on
-// pool workers (threads 4: helpers drain a bounded channel).
+// Every case runs serially (threads 1: the reader decodes every scan
+// itself) and on pool workers (threads 4: decoders drain the channel the
+// reader fills).
 class StreamDecoderContract : public ::testing::TestWithParam<int> {
  protected:
   StreamDecoderContract() {
     opt_.data_side = 65;
     opt_.threads = GetParam();
     // 2000 bytes at 203 per emblem: data slots 0..9 and parity 17..19,
-    // emitted in that order, so push index i carries seq i for i < 10.
+    // emitted in that order, so pull index i carries seq i for i < 10.
     stream_ = RandomBytes(16, 2000);
     encoded_ = Encode(stream_, StreamId::kData, opt_);
   }
@@ -832,74 +839,81 @@ class StreamDecoderContract : public ::testing::TestWithParam<int> {
   Encoded encoded_;
 };
 
-TEST_P(StreamDecoderContract, PushOrFinishAfterFinishIsInvalid) {
-  StreamDecoder decoder(StreamId::kData, opt_);
-  for (const media::Image& frame : encoded_.frames) {
-    ASSERT_TRUE(decoder.Push(frame).ok());
-  }
-  auto out = decoder.Finish();
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out.value(), stream_);
-  EXPECT_EQ(decoder.Push(encoded_.frames[0]).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(decoder.Finish().status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST_P(StreamDecoderContract, FinishRethrowsLowestPushIndexException) {
   const int side = opt_.data_side;
-  StreamDecoder decoder(
-      StreamId::kData, opt_, [side](BytesView grid) {
-        GridDecodeResult r = DecodeNative(grid, side);
-        if (r.ok && r.header.seq == 3) {
-          // Let index 5 throw first in time on pool workers.
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          throw std::runtime_error("push 3");
-        }
-        if (r.ok && r.header.seq == 5) throw std::runtime_error("push 5");
-        return r;
-      });
-  for (const media::Image& frame : encoded_.frames) {
-    ASSERT_TRUE(decoder.Push(frame).ok());
-  }
   try {
-    (void)decoder.Finish();
-    ADD_FAILURE() << "Finish did not rethrow";
+    (void)DecodeStream(
+        PullFrames(encoded_.frames), StreamId::kData, opt_,
+        [side](BytesView grid) {
+          GridDecodeResult r = DecodeNative(grid, side);
+          if (r.ok && r.header.seq == 3) {
+            // Let index 5 throw first in time on pool workers.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            throw std::runtime_error("pull 3");
+          }
+          if (r.ok && r.header.seq == 5) throw std::runtime_error("pull 5");
+          return r;
+        });
+    ADD_FAILURE() << "DecodeStream did not rethrow";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "push 3");
+    EXPECT_STREQ(e.what(), "pull 3");
   }
 }
 
-TEST_P(StreamDecoderContract, DestroyWithoutFinishDrainsInFlightWork) {
-  // The decode function writes through a heap pointer that dies right
-  // after the decoder: a helper still running past the destructor would
-  // be a use-after-free (caught by the ASan and TSan jobs).
+TEST_P(StreamDecoderContract, ReadErrorWaitsForInFlightDecodes) {
+  // The pull fails after 8 scans. The decode function writes through a
+  // heap pointer that dies right after DecodeStream returns: a decode
+  // still running past the return would be a use-after-free (caught by
+  // the ASan and TSan jobs).
   auto calls = std::make_unique<std::atomic<int>>(0);
   std::atomic<int>* counter = calls.get();
   const int side = opt_.data_side;
-  {
-    StreamDecoder decoder(
-        StreamId::kData, opt_, [counter, side](BytesView grid) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          counter->fetch_add(1);
-          return DecodeNative(grid, side);
-        });
-    for (const media::Image& frame : encoded_.frames) {
-      ASSERT_TRUE(decoder.Push(frame).ok());
-    }
-  }
-  EXPECT_EQ(calls->load(), static_cast<int>(encoded_.frames.size()));
+  FramePull frames = PullFrames(encoded_.frames);
+  int pulled = 0;
+  auto out = DecodeStream(
+      [&]() -> Result<std::optional<media::Image>> {
+        if (pulled == 8) return Status::IoError("reel torn at frame 8");
+        ++pulled;
+        return frames();
+      },
+      StreamId::kData, opt_, [counter, side](BytesView grid) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        counter->fetch_add(1);
+        return DecodeNative(grid, side);
+      });
+  EXPECT_LE(calls->load(), 8);
   calls.reset();
+  EXPECT_EQ(out.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(out.status().message(), "reel torn at frame 8");
+}
+
+TEST_P(StreamDecoderContract, ThrowingPullDoesNotHang) {
+  // The reader must close the channel when the pull throws, or the
+  // decoders blocked on it would wait forever (the ctest timeout would
+  // catch the hang).
+  FramePull frames = PullFrames(encoded_.frames);
+  int pulled = 0;
+  try {
+    (void)DecodeStream(
+        [&]() -> Result<std::optional<media::Image>> {
+          if (pulled == 5) throw std::runtime_error("scanner jammed");
+          ++pulled;
+          return frames();
+        },
+        StreamId::kData, opt_);
+    ADD_FAILURE() << "DecodeStream did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "scanner jammed");
+  }
 }
 
 TEST_P(StreamDecoderContract, CountUnsampledDecidesIfBlankScansCount) {
+  std::vector<media::Image> scans{media::Image(200, 200, 255)};
+  scans.insert(scans.end(), encoded_.frames.begin(), encoded_.frames.end());
   for (bool count_unsampled : {false, true}) {
-    StreamDecoder decoder(StreamId::kData, opt_, nullptr, count_unsampled);
-    ASSERT_TRUE(decoder.Push(media::Image(200, 200, 255)).ok());
-    for (const media::Image& frame : encoded_.frames) {
-      ASSERT_TRUE(decoder.Push(frame).ok());
-    }
     DecodeStats stats;
-    auto out = decoder.Finish(&stats);
+    auto out = DecodeStream(PullFrames(scans), StreamId::kData, opt_,
+                            nullptr, count_unsampled, &stats);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(out.value(), stream_);
     const int frames = static_cast<int>(encoded_.frames.size());
@@ -911,18 +925,19 @@ TEST_P(StreamDecoderContract, CountUnsampledDecidesIfBlankScansCount) {
 
 TEST_P(StreamDecoderContract, StatsStepsSumGridDecodeSteps) {
   const int side = opt_.data_side;
-  StreamDecoder decoder(StreamId::kData, opt_, [side](BytesView grid) {
-    GridDecodeResult r = DecodeNative(grid, side);
-    r.steps = 1000 + r.header.seq;
-    return r;
-  });
   uint64_t expected = 0;
-  for (size_t i = 0; i < encoded_.frames.size(); ++i) {
-    expected += 1000 + encoded_.emblems[i].header.seq;
-    ASSERT_TRUE(decoder.Push(encoded_.frames[i]).ok());
+  for (const EncodedEmblem& emblem : encoded_.emblems) {
+    expected += 1000 + emblem.header.seq;
   }
   DecodeStats stats;
-  auto out = decoder.Finish(&stats);
+  auto out = DecodeStream(
+      PullFrames(encoded_.frames), StreamId::kData, opt_,
+      [side](BytesView grid) {
+        GridDecodeResult r = DecodeNative(grid, side);
+        r.steps = 1000 + r.header.seq;
+        return r;
+      },
+      false, &stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(stats.steps, expected);
 }

@@ -3,8 +3,8 @@
 // instruction) is the semantic reference; the cached-translation warm
 // path and the fused dispatch core underneath it are engine
 // accelerations that must be byte-identical on every program — including
-// self-modifying ones, jumps into immediate words, illegal opcodes,
-// pauses that land mid-slice, and step-limit faults.
+// self-modifying ones, jumps into immediate words, illegal opcodes and
+// step-limit faults.
 
 #include <gtest/gtest.h>
 
@@ -83,12 +83,6 @@ void ExpectPathsMatchNative(const dynarisc::Program& p, BytesView input) {
   EXPECT_EQ(ExpectPathsAgree(p, input), native.value());
 }
 
-// Restores the default engine slice size even when a test fails.
-struct SliceOverride {
-  explicit SliceOverride(uint64_t steps) { SetNestedSliceStepsForTest(steps); }
-  ~SliceOverride() { SetNestedSliceStepsForTest(0); }
-};
-
 // The guest overwrites an upcoming instruction word with SYS #2 via
 // STM.W and then falls through into it: the predecoded handler table
 // must be invalidated by the store, or the warm path would still run
@@ -144,40 +138,6 @@ TEST(NestedDiffTest, IllegalOpcodeHaltsOnEveryPath) {
   p.image = {0xFF, 0xFF};
   p.entry = 0;
   EXPECT_TRUE(ExpectPathsAgree(p, {}).empty());
-}
-
-// Pauses that land mid-slice (and, with an odd slice size, between the
-// constituents of fused pairs) must not be observable in the output.
-TEST(NestedDiffTest, MidSlicePausesAreInvisible) {
-  SliceOverride slice(777);
-  ExpectPathsMatchNative(
-      Asm("loop: SYS #0\nJC done\nSYS #1\nJUMP loop\ndone: SYS #2"),
-      Bytes{9, 8, 7, 0, 255, 1});
-  ExpectPathsMatchNative(Asm(R"(
-      LDI R5,#0x8000
-      MOVE D3,R5
-      LDI R0,#11
-      CALL fib
-      MOVE R0,R1
-      SYS #1
-      SYS #2
-fib:  LDI R1,#1
-      LDI R2,#1
-      CMP R0,R2
-      JC ret
-      JZ ret
-      MOVE R4,R0
-      SUB R0,R2
-      CALL fib
-      MOVE R3,R1
-      MOVE R0,R4
-      LDI R2,#2
-      SUB R0,R2
-      CALL fib
-      ADD R1,R3
-ret:  RET
-)"),
-                         {});
 }
 
 // A guest that never halts must exhaust the step budget with the same

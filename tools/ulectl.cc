@@ -91,7 +91,8 @@ int Usage(const char* argv0) {
       "  --shard-bytes N    split across reels of at most N file bytes\n"
       "  --parity M         also encode M ULE-P1 parity reels: any M whole\n"
       "                     reels of the set can then be lost and rebuilt\n"
-      "  --scheme NAME      dbcoder scheme: store|lzss|lzac|columnar\n"
+      "  --scheme NAME      dbcoder scheme: store|lzss|lzac (columnar is\n"
+      "                     not archivable until DBDecode decodes it)\n"
       "  --data-side N      emblem data-area side (default 128)\n"
       "  --dots-per-cell N  render pitch (default 4)\n"
       "  --no-index         skip the ULE-S1 record index (selective\n"

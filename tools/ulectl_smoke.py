@@ -149,6 +149,13 @@ def smoke_single(ulectl, td):
     if os.path.exists(too_big):
         sys.exit("refused archive still created its output")
 
+    # So is a DBCoder scheme the archived DBDecode does not decode.
+    columnar = os.path.join(td, "columnar.ulec")
+    run_expect_failure([ulectl, "archive", "--in", dump, "--out", columnar,
+                        "--scheme", "columnar"], ["columnar", "DBDecode"])
+    if os.path.exists(columnar):
+        sys.exit("refused columnar archive still created its output")
+
     # Corruption must fail loudly — and the diagnostic must say *which*
     # record died and at what byte offset, so the operator knows which
     # frame of which reel to rescan.
