@@ -203,23 +203,34 @@ Result<Bytes> DecodeEmblemIntensities(BytesView intensities, int data_side,
   const StreamId sync_stream =
       mean_a < mean_b ? StreamId::kData : StreamId::kSystem;
 
-  // 2. Demodulate (differential Manchester): bit = (second half != first).
-  BitWriter bitw;
-  const int total_bits = (n - 1) * n / 2;
+  // 2. Demodulate (differential Manchester): bit = (second half != first),
+  // MSB first. The serpentine is walked one cell at a time: row 1 left to
+  // right, and each later row from the end where the previous one stopped.
   const int coded_bytes = blocks * 255;
-  for (int k = 0; k < total_bits && static_cast<int>(bitw.bit_count()) <
-                                        coded_bytes * 8; ++k) {
-    int x, y;
-    SerpentineCell(2 * k, n, &x, &y);
-    const bool first =
-        intensities[static_cast<size_t>(y) * n + x] < threshold;
-    SerpentineCell(2 * k + 1, n, &x, &y);
-    const bool second =
-        intensities[static_cast<size_t>(y) * n + x] < threshold;
-    bitw.PutBit(first != second ? 1 : 0);
+  Bytes coded(static_cast<size_t>(coded_bytes), 0);
+  size_t cell = static_cast<size_t>(n);  // (x 0, y 1)
+  int left_in_row = n;
+  bool rightward = true;
+  auto next_dark = [&]() {
+    const bool dark = intensities[cell] < threshold;
+    if (--left_in_row == 0) {
+      cell += static_cast<size_t>(n);
+      left_in_row = n;
+      rightward = !rightward;
+    } else if (rightward) {
+      ++cell;
+    } else {
+      --cell;
+    }
+    return dark;
+  };
+  const int bits = std::min(PayloadBits(n), coded_bytes * 8);
+  for (int k = 0; k < bits; ++k) {
+    const bool first = next_dark();
+    const bool second = next_dark();
+    coded[static_cast<size_t>(k) >> 3] |=
+        static_cast<uint8_t>((first != second) << (7 - (k & 7)));
   }
-  Bytes coded = bitw.Finish();
-  coded.resize(static_cast<size_t>(coded_bytes), 0);
 
   // 3. De-interleave and RS-decode each block.
   static const rs::Codec codec(255, 223);

@@ -1,70 +1,9 @@
 #include "rs/gf256.h"
 
-#include <array>
-#include <cassert>
-
 #include "support/kernels.h"
 
 namespace ule {
 namespace rs {
-namespace {
-
-struct Tables {
-  std::array<uint8_t, 512> exp;
-  std::array<uint8_t, 256> log;
-
-  Tables() {
-    uint16_t x = 1;
-    for (int i = 0; i < 255; ++i) {
-      exp[i] = static_cast<uint8_t>(x);
-      log[x] = static_cast<uint8_t>(i);
-      x <<= 1;
-      if (x & 0x100) x ^= 0x11D;
-    }
-    for (int i = 255; i < 512; ++i) exp[i] = exp[i - 255];
-    log[0] = 0;  // unused; Log(0) asserts
-  }
-};
-
-const Tables& T() {
-  static const Tables tables;
-  return tables;
-}
-
-}  // namespace
-
-uint8_t Gf256::Exp(int i) {
-  assert(i >= 0 && i < 512);
-  return T().exp[i];
-}
-
-uint8_t Gf256::Log(uint8_t x) {
-  assert(x != 0 && "log of zero");
-  return T().log[x];
-}
-
-uint8_t Gf256::Mul(uint8_t a, uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  return T().exp[T().log[a] + T().log[b]];
-}
-
-uint8_t Gf256::Div(uint8_t a, uint8_t b) {
-  assert(b != 0 && "division by zero in GF(256)");
-  if (a == 0) return 0;
-  return T().exp[T().log[a] + 255 - T().log[b]];
-}
-
-uint8_t Gf256::Pow(uint8_t x, int power) {
-  if (x == 0) return power == 0 ? 1 : 0;
-  int e = (T().log[x] * power) % 255;
-  if (e < 0) e += 255;
-  return T().exp[e];
-}
-
-uint8_t Gf256::Inv(uint8_t x) {
-  assert(x != 0 && "inverse of zero");
-  return T().exp[255 - T().log[x]];
-}
 
 void Gf256::MulSliceAccum(uint8_t* dst, const uint8_t* src, uint8_t factor,
                           size_t n) {

@@ -79,6 +79,33 @@ Codec::Codec(int n, int k) : n_(n), k_(k) {
     }
     generator_ = std::move(next);
   }
+  root_mul_.resize(static_cast<size_t>(n_ - k_) * 256);
+  for (int i = 0; i < n_ - k_; ++i) {
+    const uint8_t root = G::Exp(kFcr + i);
+    for (int x = 0; x < 256; ++x) {
+      root_mul_[static_cast<size_t>(i) * 256 + static_cast<size_t>(x)] =
+          G::Mul(static_cast<uint8_t>(x), root);
+    }
+  }
+}
+
+bool Codec::Syndromes(const uint8_t* word, uint8_t* synd) const {
+  // S_i = C(alpha^(fcr+i)). Codeword index a has polynomial degree n-1-a,
+  // so Horner over the array in transmission order is exactly the
+  // descending-order evaluation. The r chains are independent, so each
+  // byte advances all of them: no chain waits on its own previous step.
+  const int r = n_ - k_;
+  std::fill(synd, synd + r, 0);
+  for (int a = 0; a < n_; ++a) {
+    const uint8_t c = word[a];
+    const uint8_t* row = root_mul_.data();
+    for (int i = 0; i < r; ++i, row += 256) {
+      synd[i] = static_cast<uint8_t>(row[synd[i]] ^ c);
+    }
+  }
+  uint8_t any = 0;
+  for (int i = 0; i < r; ++i) any |= synd[i];
+  return any == 0;
 }
 
 Result<Bytes> Codec::Encode(BytesView data) const {
@@ -179,19 +206,8 @@ Result<Bytes> Codec::Decode(BytesView codeword, const std::vector<int>& erasures
 
   Bytes received(codeword.begin(), codeword.end());
 
-  // Syndromes S_i = C(alpha^(fcr+i)). Codeword index a has polynomial degree
-  // n-1-a, so Horner over the array in transmission order is exactly the
-  // descending-order evaluation.
   Poly synd(static_cast<size_t>(r), 0);
-  bool all_zero = true;
-  for (int i = 0; i < r; ++i) {
-    uint8_t acc = 0;
-    const uint8_t z = G::Exp(kFcr + i);
-    for (int a = 0; a < n_; ++a) acc = static_cast<uint8_t>(G::Mul(acc, z) ^ received[a]);
-    synd[static_cast<size_t>(i)] = acc;
-    if (acc != 0) all_zero = false;
-  }
-  if (all_zero) {
+  if (Syndromes(received.data(), synd.data())) {
     if (info) *info = DecodeInfo{};
     return Bytes(received.begin(), received.begin() + k_);
   }
@@ -283,13 +299,8 @@ Result<Bytes> Codec::Decode(BytesView codeword, const std::vector<int>& erasures
   }
 
   // Verify: all syndromes must vanish after correction.
-  for (int i = 0; i < r; ++i) {
-    uint8_t acc = 0;
-    const uint8_t z = G::Exp(kFcr + i);
-    for (int a = 0; a < n_; ++a) acc = static_cast<uint8_t>(G::Mul(acc, z) ^ received[a]);
-    if (acc != 0) {
-      return Status::Corruption("RS decode: residual syndrome after correction");
-    }
+  if (!Syndromes(received.data(), synd.data())) {
+    return Status::Corruption("RS decode: residual syndrome after correction");
   }
 
   if (info) {

@@ -2,12 +2,14 @@
 // reproduce the reference detector in detect_reference.h bit for bit —
 // the same sampled grid bytes, the same DetectInfo doubles (compared as
 // bit patterns), the same lens candidate count and the same ok/error status — on rendered frames, scans
-// under each distortion, one scan per media profile, and degenerate
+// under each distortion, one scan per media profile, frames on the
+// boundaries of the threshold histogram's 64-pixel blocks, and degenerate
 // images. The detector's output feeds the inner RS decode and the archived
 // MODecode, so a restore must not depend on which build sampled the frame.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -147,6 +149,79 @@ TEST(DetectDiffTest, MediaProfileScans) {
     EXPECT_TRUE(ExpectSameAsReference(
         {"microfilm full frame " + std::to_string(static_cast<int>(stream)),
          PrintAndScan(film, data_side, stream, 21), data_side}));
+  }
+}
+
+TEST(DetectDiffTest, OtsuBlockBoundaries) {
+  // The threshold's histogram counts 64-pixel blocks of pure 0/255 apart
+  // from the rest. These frames put every kind of block, and a tail, in
+  // front of both detectors.
+  const media::Image rendered =
+      RenderRandomEmblem(65, 3, 3, StreamId::kData, 31);
+  const size_t pixels = rendered.pixels().size();
+  ASSERT_NE(rendered.width() % 64, 0);
+  ASSERT_NE(pixels % 64, 0u);
+  EXPECT_TRUE(ExpectSameAsReference({"rendered 243x243", rendered, 65}));
+
+  // Mid-gray pixels in some blocks, on block edges, and in the tail; the
+  // grays move the threshold away from the one of a pure 0/255 frame.
+  Rng rng(64);
+  media::Image sprinkled = rendered;
+  std::vector<uint8_t>& px = sprinkled.mutable_pixels();
+  const size_t blocks = pixels / 64;
+  for (size_t block = 0; block < blocks; block += 1 + rng.Below(12)) {
+    const size_t at = block * 64 + (block % 3 == 0   ? 0
+                                    : block % 3 == 1 ? 63
+                                                     : rng.Below(64));
+    px[at] = static_cast<uint8_t>(96 + rng.Below(64));
+  }
+  px[blocks * 64] = 140;
+  px[pixels - 1] = 120;
+  EXPECT_TRUE(ExpectSameAsReference({"rendered, gray sprinkled", sprinkled,
+                                     65}));
+
+  // A black speck in the bottom-right quiet zone whose last-row pixels are
+  // dark gray, all of them in the tail. Counted, they lift the threshold
+  // from 1 to 41, which makes them black and moves the bounding box of
+  // solid pixels. In the first frame the grays are in the tail's whole
+  // 4-pixel groups; in the second only the image's last pixel is gray.
+  const int w = rendered.width();
+  const int h = rendered.height();
+  const int tail_x = static_cast<int>(blocks * 64 % static_cast<size_t>(w));
+  ASSERT_GT(w - tail_x, 40);
+  for (int last_gray : {0, 1}) {
+    media::Image speck = rendered;
+    const int x_end = last_gray ? w : w - 5;
+    speck.FillRect(tail_x + 4, h - 3, x_end - tail_x - 4, 3, 0);
+    if (last_gray) {
+      speck.set(w - 1, h - 1, 40);
+    } else {
+      speck.FillRect(tail_x + 4, h - 1, x_end - tail_x - 4, 1, 40);
+    }
+    ExpectSameAsReference(
+        {"speck in the tail, last pixel gray " + std::to_string(last_gray),
+         speck, 65});
+  }
+
+  // A gray scan of the same frame: few blocks hold only 0 and 255.
+  media::ScanProfile sp;
+  sp.blur_sigma = 0.6;
+  sp.noise_sigma = 4;
+  sp.seed = 9;
+  const media::Image gray = media::Scan(rendered, sp);
+  ASSERT_TRUE(std::any_of(gray.pixels().begin(), gray.pixels().end(),
+                          [](uint8_t v) { return v != 0 && v != 255; }));
+  ASSERT_NE(gray.pixels().size() % 64, 0u);
+  EXPECT_TRUE(ExpectSameAsReference({"gray scan", gray, 65}));
+
+  // Uniform images: every block is pure, with and without a tail. Neither
+  // holds an emblem; both detectors must agree on how they fail.
+  for (uint8_t level : {0, 255}) {
+    for (int side : {64, 243}) {
+      ExpectSameAsReference({"uniform " + std::to_string(level) + " " +
+                                 std::to_string(side),
+                             media::Image(side, side, level), 65});
+    }
   }
 }
 

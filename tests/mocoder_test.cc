@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,7 @@
 #include "mocoder/mocoder.h"
 #include "mocoder/outer.h"
 #include "support/crc32.h"
+#include "support/parallel.h"
 #include "support/random.h"
 
 namespace ule {
@@ -370,19 +372,18 @@ TEST(DetectTest, LensSearchCostPinnedOnCleanEmblem) {
   EXPECT_EQ(info.lens_candidates, 35);
 }
 
-// One scan of the lens-search parity corpus: an emblem of known payload
-// and the image it must decode from.
-struct ParityScan {
-  std::string name;
+// A printed emblem of the lens-search parity corpus: known payload and the
+// rendered image its scans are made from.
+struct ParityEmblem {
   int data_side = 0;
   Bytes payload;
   media::Image image;
 };
 
 // An emblem of random payload, rendered at `dots` per cell.
-ParityScan RenderParityEmblem(int data_side, int dots, StreamId stream,
+ParityEmblem RenderParityEmblem(int data_side, int dots, StreamId stream,
                               uint64_t seed) {
-  ParityScan s;
+  ParityEmblem s;
   s.data_side = data_side;
   Rng rng(seed);
   s.payload = RandomPayload(&rng, EmblemCapacity(data_side));
@@ -399,23 +400,32 @@ std::string Named(const char* prefix, double value, const char* suffix) {
   return buf;
 }
 
-// Calls `visit` on every scan of the corpus in turn, so only one full
-// microfilm frame is alive at a time. The corpus covers what the lens
-// calibration has to get right: lens strengths through and beyond the
-// candidate range, the DetectUnderDistortion profiles over several scanner
-// seeds, the single-axis sweeps of bench_scan_distortion, each media
-// profile, full microfilm frames and clean renders.
-template <typename Visit>
-void ForEachParityScan(Visit visit) {
-  auto scan_of = [&](const ParityScan& printed, std::string name,
-                     const media::ScanProfile& sp) {
-    ParityScan s = printed;
-    s.name = std::move(name);
-    s.image = media::Scan(printed.image, sp);
-    visit(s);
+// One scan of the corpus before it is made: the printed emblem (shared by
+// the scans of one print), the scan's name, and the scanner profile, or
+// none for a clean render that is decoded as printed.
+struct ParityCase {
+  std::shared_ptr<const ParityEmblem> printed;
+  std::string name;
+  std::optional<media::ScanProfile> profile;
+};
+
+// The lens-search parity corpus. It covers what the lens calibration has
+// to get right: lens strengths through and beyond the candidate range, the
+// DetectUnderDistortion profiles over several scanner seeds, the
+// single-axis sweeps of bench_scan_distortion, each media profile, full
+// microfilm frames and clean renders. Scans are made when a case runs, so
+// only the worker running a microfilm case holds a scanned microfilm frame.
+std::vector<ParityCase> ParityCorpus() {
+  std::vector<ParityCase> corpus;
+  auto scan_of = [&](const std::shared_ptr<const ParityEmblem>& printed,
+                     std::string name, const media::ScanProfile& sp) {
+    corpus.push_back({printed, std::move(name), sp});
+  };
+  auto print = [](ParityEmblem s) {
+    return std::make_shared<const ParityEmblem>(std::move(s));
   };
   for (int n : {65, 128}) {
-    const ParityScan printed = RenderParityEmblem(n, 4, StreamId::kData, n);
+    const auto printed = print(RenderParityEmblem(n, 4, StreamId::kData, n));
     std::vector<double> lens = {0, 0.04};
     for (int i = 1; i <= 15; ++i) {
       lens.push_back(0.002 * i);
@@ -432,7 +442,7 @@ void ForEachParityScan(Visit visit) {
     }
   }
   {
-    const ParityScan printed = RenderParityEmblem(80, 5, StreamId::kData, 8);
+    const auto printed = print(RenderParityEmblem(80, 5, StreamId::kData, 8));
     for (const ScanCase& c : kScanCases) {
       for (uint64_t seed : {77, 78, 79, 80}) {
         media::ScanProfile sp;
@@ -449,7 +459,8 @@ void ForEachParityScan(Visit visit) {
     }
   }
   {
-    const ParityScan printed = RenderParityEmblem(96, 4, StreamId::kData, 600);
+    const auto printed =
+        print(RenderParityEmblem(96, 4, StreamId::kData, 600));
     struct Axis {
       const char* name;
       double media::ScanProfile::*field;
@@ -479,12 +490,12 @@ void ForEachParityScan(Visit visit) {
     }
   }
   for (const media::MediaProfile& profile : media::AllProfiles()) {
-    ParityScan printed =
+    ParityEmblem printed =
         RenderParityEmblem(80, profile.dots_per_cell, StreamId::kData, 12);
     if (profile.bitonal_write) {
       for (auto& px : printed.image.mutable_pixels()) px = px < 128 ? 0 : 255;
     }
-    scan_of(printed, profile.name + " n80", profile.scan);
+    scan_of(print(std::move(printed)), profile.name + " n80", profile.scan);
   }
   {
     // Full 16 mm microfilm frames: the emblem fills the 4972x4972 frame and
@@ -495,20 +506,20 @@ void ForEachParityScan(Visit visit) {
                               film.dots_per_cell -
                           2 * kFrameCells - 2 * quiet;
     for (StreamId stream : {StreamId::kData, StreamId::kSystem}) {
-      ParityScan printed =
+      ParityEmblem printed =
           RenderParityEmblem(data_side, film.dots_per_cell, stream, 21);
       for (auto& px : printed.image.mutable_pixels()) px = px < 128 ? 0 : 255;
-      scan_of(printed,
+      scan_of(print(std::move(printed)),
               "microfilm full frame " +
                   std::to_string(static_cast<int>(stream)),
               film.scan);
     }
   }
   for (int n : {65, 128}) {
-    ParityScan clean = RenderParityEmblem(n, 3, StreamId::kData, 3 * n);
-    clean.name = "clean 3-dot n" + std::to_string(n);
-    visit(clean);
+    corpus.push_back({print(RenderParityEmblem(n, 3, StreamId::kData, 3 * n)),
+                      "clean 3-dot n" + std::to_string(n), std::nullopt});
   }
+  return corpus;
 }
 
 TEST(DetectTest, LensSearchKeepsDecodeOutcomes) {
@@ -530,22 +541,32 @@ TEST(DetectTest, LensSearchKeepsDecodeOutcomes) {
   // "lens -0.018 n128" and "lens -0.02 n128" instead, which the sweep did
   // not.
   const std::set<std::string> lost_to_search = {"lens -0.028 n128"};
-  int scans = 0;
-  ForEachParityScan([&](const ParityScan& s) {
-    ++scans;
-    auto cells = SampleEmblem(s.image, s.data_side);
-    bool decoded = false;
+  // Scanned and decoded on the shared pool; checked in corpus order.
+  const std::vector<ParityCase> corpus = ParityCorpus();
+  std::vector<char> decoded(corpus.size(), 0);
+  Status st = ParallelFor(0, corpus.size(), [&](size_t i) {
+    const ParityEmblem& printed = *corpus[i].printed;
+    const media::Image image =
+        corpus[i].profile ? media::Scan(printed.image, *corpus[i].profile)
+                          : printed.image;
+    auto cells = SampleEmblem(image, printed.data_side);
     if (cells.ok()) {
-      auto back = DecodeEmblemIntensities(cells.value(), s.data_side, nullptr);
-      decoded = back.ok() && back.value() == s.payload;
+      auto back =
+          DecodeEmblemIntensities(cells.value(), printed.data_side, nullptr);
+      decoded[i] = back.ok() && back.value() == printed.payload;
     }
-    if (expected_failures.count(s.name) + lost_to_search.count(s.name) != 0) {
-      EXPECT_FALSE(decoded) << s.name << " decodes now";
-    } else {
-      EXPECT_TRUE(decoded) << s.name;
-    }
+    return Status::OK();
   });
-  EXPECT_EQ(scans, 126);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const std::string& name = corpus[i].name;
+    if (expected_failures.count(name) + lost_to_search.count(name) != 0) {
+      EXPECT_FALSE(decoded[i]) << name << " decodes now";
+    } else {
+      EXPECT_TRUE(decoded[i]) << name;
+    }
+  }
+  EXPECT_EQ(corpus.size(), 126u);
 }
 
 // ---------------- outer code ----------------

@@ -341,6 +341,105 @@ INSTANTIATE_TEST_SUITE_P(
                       RsCase{255, 128, 60, 7}, RsCase{100, 50, 20, 10},
                       RsCase{10, 2, 4, 0}, RsCase{3, 1, 1, 0}));
 
+// ---------- Seeded sweep with exact correction counts ----------
+
+// Corrupts `errors + erasures` distinct random positions of `cw` (each
+// with a non-zero XOR) and returns the erased ones, in random order.
+std::vector<int> Damage(Rng* rng, Bytes* cw, int errors, int erasures) {
+  const int n = static_cast<int>(cw->size());
+  std::vector<int> order(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(order[static_cast<size_t>(i)],
+              order[rng->Below(static_cast<uint64_t>(i) + 1)]);
+  }
+  for (int i = 0; i < errors + erasures; ++i) {
+    (*cw)[static_cast<size_t>(order[static_cast<size_t>(i)])] ^=
+        static_cast<uint8_t>(1 + rng->Below(255));
+  }
+  return std::vector<int>(order.begin() + errors,
+                          order.begin() + errors + erasures);
+}
+
+// The inner code and two parity-reel codes RS(n + m, n): n data reels,
+// m parity reels.
+class RsCorrectionSweep
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(RsCorrectionSweep, ExactDataAndCountsWithinCapacity) {
+  const auto [n, k] = GetParam();
+  const Codec codec(n, k);
+  const int r = codec.parity();
+  Rng rng(static_cast<uint64_t>(n) * 7919 + static_cast<uint64_t>(k));
+  for (int errors = 0; errors <= codec.max_errors(); ++errors) {
+    for (int erasures = 0; 2 * errors + erasures <= r; ++erasures) {
+      for (int trial = 0; trial < 3; ++trial) {
+        SCOPED_TRACE("RS(" + std::to_string(n) + "," + std::to_string(k) +
+                     ") errors " + std::to_string(errors) + " erasures " +
+                     std::to_string(erasures) + " trial " +
+                     std::to_string(trial));
+        const Bytes data = RandomPayload(&rng, k);
+        Bytes cw = codec.Encode(data).TakeValue();
+        const std::vector<int> erased = Damage(&rng, &cw, errors, erasures);
+        DecodeInfo info;
+        auto back = codec.Decode(cw, erased, &info);
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        EXPECT_EQ(back.value(), data);
+        EXPECT_EQ(info.errors_corrected, errors);
+        EXPECT_EQ(info.erasures_corrected, erasures);
+      }
+    }
+  }
+}
+
+TEST_P(RsCorrectionSweep, PastCapacityIsCorruption) {
+  const auto [n, k] = GetParam();
+  const Codec codec(n, k);
+  const int r = codec.parity();
+  Rng rng(static_cast<uint64_t>(n) * 104729 + static_cast<uint64_t>(k));
+  // More erasures than parity symbols: refused before any decoding.
+  for (int trial = 0; trial < 3; ++trial) {
+    const Bytes data = RandomPayload(&rng, k);
+    Bytes cw = codec.Encode(data).TakeValue();
+    const std::vector<int> erased = Damage(&rng, &cw, 0, r + 1);
+    auto back = codec.Decode(cw, erased);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+  }
+  // Errors past capacity: a bounded-distance decoder reports them only
+  // when no other codeword lies within its reach of the damaged word. For
+  // the inner code (reach 16) that holds for all but a vanishing share of
+  // words, so every case here must fail; a short parity-reel code's reach
+  // is 1 byte, and a word with 2 errors lands next to another codeword
+  // often enough that there is nothing exact to assert.
+  if (r < 32) return;
+  const std::tuple<int, int> past[] = {{17, 0}, {18, 0}, {12, 10}, {9, 16}};
+  for (const auto& [errors, erasures] : past) {
+    ASSERT_GT(2 * errors + erasures, r);
+    for (int trial = 0; trial < 3; ++trial) {
+      SCOPED_TRACE("errors " + std::to_string(errors) + " erasures " +
+                   std::to_string(erasures) + " trial " +
+                   std::to_string(trial));
+      const Bytes data = RandomPayload(&rng, k);
+      Bytes cw = codec.Encode(data).TakeValue();
+      const std::vector<int> erased = Damage(&rng, &cw, errors, erasures);
+      auto back = codec.Decode(cw, erased);
+      ASSERT_FALSE(back.ok());
+      EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InnerAndParityReelCodes, RsCorrectionSweep,
+    ::testing::Values(std::make_tuple(255, 223),  // inner, per-emblem
+                      std::make_tuple(6, 4),      // 4 data + 2 parity reels
+                      std::make_tuple(11, 8)),    // 8 data + 3 parity reels
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& i) {
+      return "rs" + std::to_string(std::get<0>(i.param)) + "_" +
+             std::to_string(std::get<1>(i.param));
+    });
+
 // Exhaustive single-error sweep over every position of the outer code.
 class RsSinglePosition : public ::testing::TestWithParam<int> {};
 

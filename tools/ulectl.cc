@@ -321,6 +321,31 @@ int RunArchive(const Args& args) {
   if (args.out.empty()) {
     return Fail(Status::InvalidArgument("archive needs --out"));
   }
+  core::ArchiveOptions options;
+  options.scheme = args.scheme;
+  options.emblem.data_side = args.data_side;
+  options.emblem.dots_per_cell = args.dots_per_cell;
+  options.emblem.threads = args.threads;
+  // The index costs a little compression and buys `restore --table`;
+  // archives meant to be restored are worth making seekable by default.
+  options.build_index = !args.no_index;
+  // Refuse bad options before the dump is generated or read, and before
+  // a writer creates the output.
+  Status valid = core::ValidateArchiveOptions(options);
+  if (!valid.ok()) return Fail(valid);
+
+  const bool sharded = args.shard_frames > 0 || args.shard_bytes > 0;
+  if (sharded && args.dir) {
+    return Fail(Status::InvalidArgument(
+        "--shard-frames/--shard-bytes shard across ULE-C1 reels; they do "
+        "not combine with --dir"));
+  }
+  if (args.parity > 0 && !sharded) {
+    return Fail(Status::InvalidArgument(
+        "--parity protects a sharded reel set; combine it with "
+        "--shard-frames or --shard-bytes"));
+  }
+
   std::string dump;
   if (args.tpch_sf.has_value()) {
     tpch::Options topt;
@@ -340,30 +365,6 @@ int RunArchive(const Args& args) {
   if (!args.dump_out.empty()) {
     Status s = WriteFileText(args.dump_out, dump);
     if (!s.ok()) return Fail(s);
-  }
-
-  core::ArchiveOptions options;
-  options.scheme = args.scheme;
-  options.emblem.data_side = args.data_side;
-  options.emblem.dots_per_cell = args.dots_per_cell;
-  options.emblem.threads = args.threads;
-  // The index costs a little compression and buys `restore --table`;
-  // archives meant to be restored are worth making seekable by default.
-  options.build_index = !args.no_index;
-  // Refuse bad options before a writer creates the output.
-  Status valid = core::ValidateArchiveOptions(options);
-  if (!valid.ok()) return Fail(valid);
-
-  const bool sharded = args.shard_frames > 0 || args.shard_bytes > 0;
-  if (sharded && args.dir) {
-    return Fail(Status::InvalidArgument(
-        "--shard-frames/--shard-bytes shard across ULE-C1 reels; they do "
-        "not combine with --dir"));
-  }
-  if (args.parity > 0 && !sharded) {
-    return Fail(Status::InvalidArgument(
-        "--parity protects a sharded reel set; combine it with "
-        "--shard-frames or --shard-bytes"));
   }
 
   // Every backend spools frame-at-a-time: nothing is materialized even

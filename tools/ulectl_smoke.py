@@ -155,6 +155,14 @@ def smoke_single(ulectl, td):
                         "--scheme", "columnar"], ["columnar", "DBDecode"])
     if os.path.exists(columnar):
         sys.exit("refused columnar archive still created its output")
+    # The options are refused before any dump is generated.
+    printed = run_expect_failure([ulectl, "archive", "--tpch", "0.0001",
+                                  "--out", columnar, "--scheme", "columnar"],
+                                 ["columnar", "DBDecode"])
+    if "generated TPC-H dump" in printed:
+        sys.exit("refused --tpch archive generated its dump first")
+    if os.path.exists(columnar):
+        sys.exit("refused --tpch columnar archive still created its output")
 
     # Corruption must fail loudly — and the diagnostic must say *which*
     # record died and at what byte offset, so the operator knows which
