@@ -39,12 +39,9 @@ Result<ArchiveSummary> ArchiveDumpStreaming(const std::string& sql_dump,
   // The recorded options describe the archived *geometry*; the archiving
   // machine's thread count is not an archival parameter and must not leak
   // into (and silently serialize) a future restorer's environment. It is
-  // still worth reporting (benches, ulectl), outside the recorded options;
-  // the pipeline clamps worker counts at the pool's hard cap, so the
-  // report must too.
+  // still worth reporting (benches, ulectl), outside the recorded options.
   summary.emblem_options.threads = 0;
-  summary.threads_used = std::min(ResolveThreadCount(options.emblem.threads),
-                                  ThreadPool::kMaxThreads);
+  summary.threads_used = ResolveThreadCount(options.emblem.threads);
   summary.dump_bytes = sql_dump.size();
 
   // With build_index the stream is written segmented (UDBS) along the

@@ -1,13 +1,13 @@
 #include "dbcoder/columnar.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "dbcoder/lz77.h"
+#include "support/date.h"
 
 namespace ule {
 namespace dbcoder {
@@ -101,54 +101,6 @@ std::string FormatDecimal(int64_t v, int scale) {
   std::string frac = std::to_string(a % pow10);
   frac.insert(0, static_cast<size_t>(scale) - frac.size(), '0');
   return (neg ? "-" : "") + std::to_string(a / pow10) + "." + frac;
-}
-
-// Civil-date <-> days since 1970-01-01 (Howard Hinnant's algorithm).
-int64_t DaysFromCivil(int y, int m, int d) {
-  y -= m <= 2;
-  const int era = (y >= 0 ? y : y - 399) / 400;
-  const unsigned yoe = static_cast<unsigned>(y - era * 400);
-  const unsigned doy = (153u * static_cast<unsigned>(m + (m > 2 ? -3 : 9)) + 2) / 5 + static_cast<unsigned>(d) - 1;
-  const unsigned doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-  return era * 146097LL + static_cast<int64_t>(doe) - 719468;
-}
-
-void CivilFromDays(int64_t z, int* y, int* m, int* d) {
-  z += 719468;
-  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
-  const unsigned doe = static_cast<unsigned>(z - era * 146097);
-  const unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
-  const int64_t yy = static_cast<int64_t>(yoe) + era * 400;
-  const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-  const unsigned mp = (5 * doy + 2) / 153;
-  *d = static_cast<int>(doy - (153 * mp + 2) / 5 + 1);
-  *m = static_cast<int>(mp + (mp < 10 ? 3 : -9));
-  *y = static_cast<int>(yy + (*m <= 2));
-}
-
-std::optional<int64_t> ParseExactDate(const std::string& s) {
-  if (s.size() != 10 || s[4] != '-' || s[7] != '-') return std::nullopt;
-  for (size_t i : {0u, 1u, 2u, 3u, 5u, 6u, 8u, 9u}) {
-    if (s[i] < '0' || s[i] > '9') return std::nullopt;
-  }
-  const int y = std::stoi(s.substr(0, 4));
-  const int m = std::stoi(s.substr(5, 2));
-  const int d = std::stoi(s.substr(8, 2));
-  if (m < 1 || m > 12 || d < 1 || d > 31) return std::nullopt;
-  const int64_t days = DaysFromCivil(y, m, d);
-  // verify round trip (rejects e.g. Feb 30)
-  int yy, mm, dd;
-  CivilFromDays(days, &yy, &mm, &dd);
-  if (yy != y || mm != m || dd != d) return std::nullopt;
-  return days;
-}
-
-std::string FormatDate(int64_t days) {
-  int y, m, d;
-  CivilFromDays(days, &y, &m, &d);
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
-  return buf;
 }
 
 // ---- column encodings ----
@@ -289,12 +241,12 @@ void EncodeColumn(const std::vector<std::vector<std::string>>& rows, size_t col,
     days.reserve(vals.size());
     bool ok = true;
     for (const auto* v : vals) {
-      auto p = ParseExactDate(*v);
-      if (!p) {
+      auto p = ParseDate(*v);
+      if (!p.ok()) {
         ok = false;
         break;
       }
-      days.push_back(*p);
+      days.push_back(p.value());
     }
     if (ok) {
       out->push_back(kColDate);

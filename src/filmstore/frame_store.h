@@ -53,8 +53,11 @@ struct ReelStats {
 /// \brief Receives one rendered frame (and its encoded emblem) during a
 /// streaming archive. Frames arrive grouped by stream — every data frame,
 /// then every system frame — in sequence order within each stream, i.e.
-/// reel order. A non-OK status aborts the archive. Called serially from
-/// the archiving thread.
+/// reel order. A non-OK status aborts the archive. Calls never overlap,
+/// and each returns before the next begins, but they come from whichever
+/// pipeline worker drains mocoder::EncodeToSink's window — the archiving
+/// thread or a pool worker — so a sink must not depend on thread identity
+/// or thread-local state.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;

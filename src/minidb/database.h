@@ -5,7 +5,7 @@
 /// (Fig. 2: `db_dump` / `db_load`), so this engine implements exactly what
 /// the experiments exercise: schemas, row storage, scans with predicates,
 /// simple aggregation (used by the "bare-metal queries after restore"
-/// claim, E11), plus CSV import/export.
+/// claim, E11).
 
 #ifndef ULE_MINIDB_DATABASE_H_
 #define ULE_MINIDB_DATABASE_H_

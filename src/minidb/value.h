@@ -9,6 +9,7 @@
 #include <string>
 #include <variant>
 
+#include "support/date.h"
 #include "support/status.h"
 
 namespace ule {
@@ -38,7 +39,7 @@ class Value {
   static Value Int(int64_t v);
   static Value Decimal(int64_t scaled);  ///< scale lives in the column
   static Value Text(std::string v);
-  static Value Date(int64_t days);
+  static Value Date(int64_t days);  ///< days since 1970-01-01 (date.h)
 
   bool is_null() const { return null_; }
   int64_t AsInt() const { return std::get<int64_t>(v_); }
@@ -50,7 +51,9 @@ class Value {
 
   /// Parses the dump representation. Corruption for a number with
   /// trailing characters, a decimal whose scaled value does not fit in
-  /// int64, or a scale outside [0, kMaxDecimalScale].
+  /// int64, or a scale outside [0, kMaxDecimalScale]; InvalidArgument for
+  /// a date ParseDate refuses (a malformed or impossible date is never
+  /// rewritten into another one).
   static Result<Value> FromDumpString(const std::string& s, Type type,
                                       int scale);
 
@@ -60,12 +63,6 @@ class Value {
   bool null_ = false;
   std::variant<int64_t, std::string> v_;
 };
-
-/// Civil-date helpers shared with the dump formats.
-int64_t DaysFromCivil(int y, int m, int d);
-void CivilFromDays(int64_t days, int* y, int* m, int* d);
-std::string FormatDate(int64_t days);
-Result<int64_t> ParseDate(const std::string& iso);
 
 }  // namespace minidb
 }  // namespace ule

@@ -1,9 +1,11 @@
 #include "mocoder/mocoder.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -56,46 +58,104 @@ Status EncodeToSink(BytesView stream, StreamId id, const Options& options,
   const auto payloads = BuildGroupPayloads(stream, capacity);
   const int total = TotalEmblemCount(stream.size(), capacity);
 
-  // The bounded channel between the construction stage and the sink: ring
-  // slots reused modulo the window. ParallelForOrdered guarantees that
-  // produce(seq) does not start before consume(seq - window) returned, so
-  // at most `window` grids/frames are alive at once — O(threads × emblem)
-  // instead of O(archive).
-  int workers = ResolveThreadCount(options.threads);
-  workers = std::min<int>(workers, ThreadPool::kMaxThreads);
-  const int window = std::max(2, 2 * workers);
+  // Emblems are built on ParallelFor workers and parked in a ring of
+  // 2 × workers slots; seq may start only once seq - window has passed the
+  // sink, so at most `window` grids/frames are alive at once —
+  // O(threads × emblem) instead of O(archive). The thread that parks slot
+  // `next` while nobody drains becomes the drainer and feeds every
+  // consecutive parked slot to the sink. The gate cannot deadlock: the
+  // seqs below a waiting one were claimed earlier (ParallelFor's claim
+  // order), so they all run, and the lowest of them never waits.
+  const size_t window = 2 * static_cast<size_t>(
+                                ResolveThreadCount(options.threads));
   struct Slot {
+    bool parked = false;
     std::optional<EncodedEmblem> emblem;  // nullopt: virtual zero emblem
     media::Image frame;
   };
-  std::vector<Slot> ring(static_cast<size_t>(window));
+  struct Ring {
+    std::vector<Slot> slots;
+    std::mutex mu;
+    std::condition_variable gate;  // `next` advanced or a seq failed
+    size_t next = 0;               // lowest seq not yet through the sink
+    size_t failed = 0;             // lowest failing seq; none: the seq count
+    bool draining = false;
+  } ring;
+  ring.slots.resize(window);
+  ring.failed = payloads.size();
 
-  return ParallelForOrdered(
+  // On every exit but success, a throwing build or sink included: records
+  // the failing seq so that higher ones return at once, and ends this
+  // thread's drain.
+  struct Guard {
+    Ring& ring;
+    size_t at;
+    bool draining = false;
+    bool ok = false;
+    ~Guard() {
+      if (ok) return;
+      {
+        std::unique_lock<std::mutex> lock(ring.mu);
+        ring.failed = std::min(ring.failed, at);
+        if (draining) ring.draining = false;
+      }
+      ring.gate.notify_all();
+    }
+  };
+
+  return ParallelFor(
       0, payloads.size(),
       [&](size_t seq) -> Status {
-        Slot& slot = ring[seq % static_cast<size_t>(window)];
-        if (!payloads[seq]) return Status::OK();  // virtual zero emblem
-        EmblemHeader h;
-        h.stream = id;
-        h.seq = static_cast<uint16_t>(seq);
-        h.total = static_cast<uint16_t>(total);
-        h.stream_len = static_cast<uint32_t>(stream.size());
-        h.payload_crc = Crc32(*payloads[seq]);
-        ULE_ASSIGN_OR_RETURN(
-            CellGrid grid, BuildEmblem(h, *payloads[seq], options.data_side));
-        slot.emblem = EncodedEmblem{h, std::move(grid)};
-        if (render) slot.frame = Render(*slot.emblem, options);
+        {
+          std::unique_lock<std::mutex> lock(ring.mu);
+          ring.gate.wait(lock, [&] {
+            return seq < ring.next + window || ring.failed < seq;
+          });
+          if (ring.failed < seq) return Status::OK();
+        }
+        Guard guard{ring, seq};
+        Slot built;
+        if (payloads[seq]) {
+          EmblemHeader h;
+          h.stream = id;
+          h.seq = static_cast<uint16_t>(seq);
+          h.total = static_cast<uint16_t>(total);
+          h.stream_len = static_cast<uint32_t>(stream.size());
+          h.payload_crc = Crc32(*payloads[seq]);
+          ULE_ASSIGN_OR_RETURN(
+              CellGrid grid, BuildEmblem(h, *payloads[seq], options.data_side));
+          built.emblem = EncodedEmblem{h, std::move(grid)};
+          if (render) built.frame = Render(*built.emblem, options);
+        }
+        built.parked = true;
+
+        std::unique_lock<std::mutex> lock(ring.mu);
+        ring.slots[seq % window] = std::move(built);
+        if (seq != ring.next || ring.draining) {
+          guard.ok = true;
+          return Status::OK();
+        }
+        ring.draining = guard.draining = true;
+        // Only the drainer touches slot `next`, and no seq reuses it before
+        // `next` advances, so the sink runs unlocked.
+        while (ring.slots[ring.next % window].parked) {
+          Slot& slot = ring.slots[ring.next % window];
+          guard.at = ring.next;
+          lock.unlock();
+          if (slot.emblem) {
+            ULE_RETURN_IF_ERROR(
+                sink(std::move(*slot.emblem), std::move(slot.frame)));
+          }
+          slot = Slot();
+          lock.lock();
+          ++ring.next;
+          ring.gate.notify_all();
+        }
+        ring.draining = false;
+        guard.ok = true;
         return Status::OK();
       },
-      [&](size_t seq) -> Status {
-        Slot& slot = ring[seq % static_cast<size_t>(window)];
-        if (!slot.emblem) return Status::OK();
-        Status s = sink(std::move(*slot.emblem), std::move(slot.frame));
-        slot.emblem.reset();
-        slot.frame = media::Image();
-        return s;
-      },
-      options.threads, window);
+      options.threads);
 }
 
 media::Image Render(const EncodedEmblem& emblem, const Options& options) {
@@ -140,8 +200,7 @@ Result<Bytes> DecodeStream(const FramePull& next, StreamId id,
                            bool count_unsampled, DecodeStats* stats) {
   ULE_RETURN_IF_ERROR(ValidateOptions(options));
   if (!decode) decode = NativeGridDecode(options.data_side);
-  const int workers =
-      std::min(ResolveThreadCount(options.threads), ThreadPool::kMaxThreads);
+  const int workers = ResolveThreadCount(options.threads);
 
   // Deque: element addresses are stable under push_back, so decoders
   // write through plain pointers while the reader grows it.

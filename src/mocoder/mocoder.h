@@ -6,13 +6,14 @@
 /// Decoding: scanned images → sampled intensity grids → per-emblem decode
 /// → outer reassembly (erasure recovery of whole lost emblems).
 ///
-/// There is one pipeline per direction, and both stream on the shared
-/// thread pool with a bounded window, so peak memory for grids and frames
-/// is O(threads × emblem): `EncodeToSink` hands emblems to a sink in
-/// sequence order (ParallelForOrdered), and `DecodeStream` pulls scans
-/// from a reel, a scanner or a frame generator (ParallelFor with the
-/// calling thread as the reader). `core::ArchiveDumpStreaming` and both `core` restores are
-/// built on them. The on-film format is specified in docs/FORMAT.md.
+/// There is one pipeline per direction, each one `ParallelFor` on the
+/// shared thread pool with a bounded window, so peak memory for grids and
+/// frames is O(threads × emblem): `EncodeToSink` hands emblems to a sink
+/// in sequence order (whichever worker finds the next emblem ready feeds
+/// the sink), and `DecodeStream` pulls scans from a reel, a scanner or a
+/// frame generator (the calling thread is the reader).
+/// `core::ArchiveDumpStreaming` and both `core` restores are built on
+/// them. The on-film format is specified in docs/FORMAT.md.
 
 #ifndef ULE_MOCODER_MOCODER_H_
 #define ULE_MOCODER_MOCODER_H_
@@ -65,8 +66,11 @@ using EmblemSink =
 /// grid/frame memory is O(threads × emblem). Virtual (all-zero tail)
 /// slots are skipped, so sequence numbers may have gaps. Emblem
 /// construction and rendering for different sequence numbers run fused on
-/// the shared pool workers; `sink` runs on the calling thread. `frame` is
-/// an empty image when `render` is false. InvalidArgument when the
+/// the shared pool workers; `sink` runs serially, in sequence order, on
+/// whichever thread drains (the caller or a pool worker), so it must not
+/// depend on thread identity. A failing or throwing sink stops the encode:
+/// no later sink call happens, and its status (or exception) is returned
+/// (rethrown). `frame` is an empty image when `render` is false. InvalidArgument when the
 /// stream needs a sequence slot beyond the header's 16-bit `seq`/`total`
 /// fields (docs/FORMAT.md §4).
 Status EncodeToSink(BytesView stream, StreamId id, const Options& options,

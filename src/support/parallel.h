@@ -10,28 +10,29 @@
 ///     threads (and their thread-local VeRisc scratch machines) instead of
 ///     constructing a pool per call;
 ///   * `ParallelFor` — index-based fan-out with deterministic error
-///     semantics;
-///   * `ParallelForOrdered` — the streaming variant: produce in parallel,
-///     consume serially in index order through a bounded in-flight window;
-///   * `BoundedChannel<T>` — a small blocking MPMC queue for push-driven
-///     pipelines whose item count is not known up front.
+///     semantics, the one fan-out primitive: both streaming directions
+///     (mocoder::EncodeToSink, mocoder::DecodeStream) are built on it;
+///   * `BoundedChannel<T>` — a small MPMC queue for pull-driven pipelines
+///     whose item count is not known up front.
 ///
 /// Determinism contract: workers claim indices from a shared counter, so
 /// *scheduling* is nondeterministic, but callers write results into
-/// per-index slots (or receive them through the ordered consumer), which
-/// makes the observable output identical to a serial run. On failure, the
+/// per-index slots (or hand them on in index order themselves, as
+/// EncodeToSink does), which makes the observable output identical to a
+/// serial run. On failure, the
 /// status (or exception) of the lowest failing index wins, matching what
 /// a serial loop would have reported first; unstarted iterations above
 /// the lowest recorded failing index may be skipped (indices below it
 /// always still run — one of them could be the serial loop's failure).
 ///
-/// Deadlock freedom: the calling thread always participates in its own
-/// call (consuming and/or claiming indices), so every helper completes
-/// even when the shared pool is saturated — nested fan-out from inside a
-/// pool worker degrades to the serial loop instead of waiting for workers
-/// that will never come. Helper tasks submitted to the pool never block
-/// indefinitely: they drain a finite claim counter and their only waits
-/// (the ordered window gate) are released by their call's own consumer.
+/// Deadlock freedom: the calling thread always claims indices of its own
+/// call, so every call completes even when the shared pool is saturated —
+/// nested fan-out from inside a pool worker degrades to the serial loop
+/// instead of waiting for workers that will never come. Helper tasks
+/// drain a finite claim counter and add no waits of their own. Indices
+/// are claimed in increasing order, so a callback may wait for the
+/// callbacks of lower indices (every one of them is already running or
+/// done), never for higher ones.
 ///
 /// Thread-count knobs, in priority order: an explicit `threads` argument
 /// (> 0), the `ULE_THREADS` environment variable, then
@@ -60,7 +61,8 @@ namespace ule {
 int DefaultThreadCount();
 
 /// Resolves a thread-count knob: `threads` if positive, else
-/// DefaultThreadCount().
+/// DefaultThreadCount(), clamped to [1, ThreadPool::kMaxThreads]. Every
+/// worker count in the pipeline comes from here.
 int ResolveThreadCount(int threads);
 
 /// \brief A growable thread pool with a shared FIFO queue.
@@ -112,8 +114,8 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// \brief The process-wide persistent pool used by ParallelFor,
-/// ParallelForOrdered and the streaming emblem pipeline.
+/// \brief The process-wide persistent pool used by ParallelFor and so by
+/// the streaming emblem pipeline.
 ///
 /// Lazily built on first use with DefaultThreadCount() workers and grown
 /// on demand (EnsureWorkers) when a call requests more; destroyed (workers
@@ -131,41 +133,27 @@ ThreadPool& SharedPool();
 /// (OK when none fail); exceptions are captured and the lowest-index one
 /// is rethrown in the caller. With an empty range this is a no-op; with
 /// one worker (or a one-element range) it degenerates to the serial loop.
+///
+/// Claim order: indices are claimed one at a time in increasing order,
+/// and a claimed index runs at once on the thread that claimed it. So
+/// when `fn(i)` starts, every `fn(j)` with j < i has started on a thread
+/// that is still running it or has finished it: `fn(i)` may block until
+/// lower indices progress (mocoder::EncodeToSink's in-order window relies
+/// on this), but must never wait for a higher index.
 Status ParallelFor(size_t begin, size_t end,
                    const std::function<Status(size_t)>& fn, int threads = 0);
 
-/// \brief Streaming parallel-for: `produce(i)` runs on up to `threads`
-/// concurrent workers, `consume(i)` runs on the calling thread in strictly
-/// increasing index order, and at most `window` indices are in flight
-/// (produced or producing but not yet consumed) at any moment.
+/// \brief A bounded MPMC channel.
 ///
-/// This is the bounded channel between pipeline stages: callers keep a
-/// ring of `window` result slots, `produce(i)` fills slot `i % window`,
-/// `consume(i)` drains it. The framework guarantees produce(i) does not
-/// start before consume(i - window) has returned, so slot reuse is safe
-/// and peak memory is O(window) instead of O(range).
+/// Backpressure primitive for pipelines fed one item at a time (e.g.
+/// scans pulled from a scanner): TryPush fails when `capacity` items are
+/// queued, consumers block in Pop until an item arrives or the channel is
+/// closed and drained.
 ///
-/// `window` <= 0 selects 2x the worker count (minimum 2). Error semantics
-/// match ParallelFor: the lowest failing index (from either callback)
-/// wins, consumption stops before the failing index, and the lowest-index
-/// exception is rethrown in the caller. With one worker the call is the
-/// serial `produce(i); consume(i)` loop.
-Status ParallelForOrdered(size_t begin, size_t end,
-                          const std::function<Status(size_t)>& produce,
-                          const std::function<Status(size_t)>& consume,
-                          int threads = 0, int window = 0);
-
-/// \brief A bounded blocking MPMC channel.
-///
-/// Backpressure primitive for push-driven pipelines (e.g. scans arriving
-/// one at a time from a scanner): producers block (or TryPush fails) when
-/// `capacity` items are queued, consumers block in Pop until an item
-/// arrives or the channel is closed and drained.
-///
-/// To stay deadlock-free on the shared pool, in-tree pipeline code never
-/// blocks in Push from a thread that is also responsible for consuming —
-/// it uses TryPush and drains one item itself when the channel is full
-/// (see mocoder::DecodeStream).
+/// There is deliberately no blocking push: a producer that is also
+/// responsible for consuming would deadlock on a saturated pool. On a
+/// full channel the producer drains one item itself and retries (see
+/// mocoder::DecodeStream).
 template <typename T>
 class BoundedChannel {
  public:
@@ -184,26 +172,12 @@ class BoundedChannel {
     return true;
   }
 
-  /// Blocks until space is available; fails only when closed.
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [this] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Dequeues without blocking; nullopt when currently empty.
   std::optional<T> TryPop() {
     std::unique_lock<std::mutex> lock(mu_);
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return item;
   }
 
@@ -214,19 +188,17 @@ class BoundedChannel {
     if (items_.empty()) return std::nullopt;  // closed and drained
     T item = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return item;
   }
 
-  /// Closes the channel: Push fails from now on, Pop drains what is left.
+  /// Closes the channel: TryPush fails from now on, Pop drains what is
+  /// left.
   void Close() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   size_t capacity() const { return capacity_; }
@@ -235,7 +207,6 @@ class BoundedChannel {
   const size_t capacity_;
   std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   bool closed_ = false;
 };

@@ -73,8 +73,8 @@ std::string Phone(Rng* rng, int nation) {
 }
 
 // Date window per the TPC-H spec: orders span 1992-01-01 .. 1998-08-02.
-const int64_t kStartDate = minidb::DaysFromCivil(1992, 1, 1);
-const int64_t kEndDate = minidb::DaysFromCivil(1998, 8, 2);
+const int64_t kStartDate = DaysFromCivil(1992, 1, 1);
+const int64_t kEndDate = DaysFromCivil(1998, 8, 2);
 
 Schema MakeSchema(std::initializer_list<Column> cols) {
   Schema s;
@@ -265,7 +265,7 @@ Result<Database> Generate(const Options& options) {
                                    {"l_shipinstruct", Type::kText, 0},
                                    {"l_shipmode", Type::kText, 0},
                                    {"l_comment", Type::kText, 0}})));
-    const int64_t current_date = minidb::DaysFromCivil(1995, 6, 17);
+    const int64_t current_date = DaysFromCivil(1995, 6, 17);
     for (int64_t o = 1; o <= n_orders; ++o) {
       // Sparse order keys (the spec leaves gaps): key = o*4 - 3.
       const int64_t okey = o * 4 - 3;

@@ -1,5 +1,5 @@
 // Tests for the DynaRisc ISA (Table 1 of the paper + our completion),
-// the native emulator, the assembler and the disassembler.
+// the native emulator and the assembler.
 //
 // Per-instruction semantics are exercised through small assembled programs
 // and direct state inspection — these suites are the normative record of
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "dynarisc/assembler.h"
-#include "dynarisc/disassembler.h"
 #include "dynarisc/isa.h"
 #include "dynarisc/machine.h"
 
@@ -404,34 +403,6 @@ TEST(AssemblerTest, RejectsBadShiftAmount) {
 TEST(AssemblerTest, CommentsAndBlankLines) {
   Program p = Asm("; nothing\n\n   ; indented comment\nSYS #2 ; trailing\n");
   EXPECT_EQ(p.image.size(), 2u);
-}
-
-// ---------------- disassembler ----------------
-
-TEST(DisassemblerTest, RoundTripsRepresentativeInstructions) {
-  const std::string src =
-      "ADD R1, R2\nLSL R3, #9\nMOVE D1, R0\nMOVE R4, HI\n"
-      "LDM.W R5, [D2+]\nSTM.B R6, [D0]\nLDI R7, #0xBEEF\n"
-      "JUMP 0x0020\nRET\nSYS #1\n";
-  Program p = Asm(src);
-  int len = 0;
-  uint16_t addr = 0;
-  std::vector<std::string> out;
-  while (addr < p.image.size()) {
-    out.push_back(DisassembleOne(p.image, addr, &len));
-    addr = static_cast<uint16_t>(addr + len);
-  }
-  ASSERT_EQ(out.size(), 10u);
-  EXPECT_EQ(out[0], "ADD R1, R2");
-  EXPECT_EQ(out[1], "LSL R3, #9");
-  EXPECT_EQ(out[2], "MOVE D1, R0");
-  EXPECT_EQ(out[3], "MOVE R4, HI");
-  EXPECT_EQ(out[4], "LDM.W R5, [D2+]");
-  EXPECT_EQ(out[5], "STM.B R6, [D0]");
-  EXPECT_EQ(out[6], "LDI R7, #0xBEEF");
-  EXPECT_EQ(out[7], "JUMP 0x0020");
-  EXPECT_EQ(out[8], "RET");
-  EXPECT_EQ(out[9], "SYS #1");
 }
 
 }  // namespace

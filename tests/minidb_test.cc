@@ -8,7 +8,6 @@
 #include <tuple>
 #include <vector>
 
-#include "minidb/csv.h"
 #include "minidb/database.h"
 #include "minidb/sqldump.h"
 #include "minidb/value.h"
@@ -116,6 +115,41 @@ TEST(ValueTest, DateRoundTripSweep) {
     ASSERT_TRUE(back.ok()) << s;
     EXPECT_EQ(back.value(), days) << s;
   }
+  // Month ends and leap days that exist.
+  for (const char* s : {"2024-02-29", "2000-02-29", "1995-12-31",
+                        "0000-01-01", "9999-12-31"}) {
+    auto back = ParseDate(s);
+    ASSERT_TRUE(back.ok()) << s;
+    EXPECT_EQ(FormatDate(back.value()), s);
+  }
+}
+
+TEST(ValueTest, DateParseNeverRewrites) {
+  // Each of these used to load as a different, valid date (2024-02-31 as
+  // 2024-03-02, 19x5-03-15 as 0019-03-15, 1995-1 -05 as 1995-01-05).
+  for (const std::string s :
+       {"2024-02-31", "2023-02-29", "1900-02-29", "1995-04-31", "19x5-03-15",
+        "1995-1 -05", "1995-01-0x", "+995-01-05", "-995-01-05", "1995-00-10",
+        "1995-13-01", "1995-01-00", "1995-01-32", "1995/01/05", "1995-1-05",
+        "1995-01-05 ", ""}) {
+    auto days = ParseDate(s);
+    ASSERT_FALSE(days.ok()) << s;
+    EXPECT_EQ(days.status().code(), StatusCode::kInvalidArgument) << s;
+    EXPECT_NE(days.status().message().find("'" + s + "'"), std::string::npos)
+        << days.status().ToString();
+    EXPECT_EQ(Value::FromDumpString(s, Type::kDate, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << s;
+  }
+  // A dump carrying an impossible date is refused, naming it, instead of
+  // loading a different day.
+  auto loaded = LoadSql(
+      "CREATE TABLE t (\n    d date\n);\nCOPY t (d) FROM stdin;\n"
+      "1995-03-15\n2024-02-31\n\\.\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("2024-02-31"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(TableTest, InsertAndScan) {
@@ -242,50 +276,6 @@ TEST(SqlDumpTest, EmptyTablesSurvive) {
   ASSERT_TRUE(back.ok());
   ASSERT_NE(back.value().GetTable("empty"), nullptr);
   EXPECT_EQ(back.value().GetTable("empty")->row_count(), 0u);
-}
-
-
-TEST(CsvTest, ExportShape) {
-  const std::string csv = ExportCsv(*SampleDb().GetTable("items"));
-  EXPECT_EQ(csv.substr(0, csv.find('\n')), "id,price,name,day");
-  EXPECT_NE(csv.find("1,9.99,plain,1994-08-23"), std::string::npos);
-  // NULLs are empty fields.
-  EXPECT_NE(csv.find("2,,"), std::string::npos);
-}
-
-TEST(CsvTest, RoundTrip) {
-  const Database db = SampleDb();
-  const Table* src = db.GetTable("items");
-  const std::string csv = ExportCsv(*src);
-  Table copy("items", src->schema());
-  ASSERT_TRUE(ImportCsv(csv, &copy).ok());
-  EXPECT_EQ(copy.rows(), src->rows());
-}
-
-TEST(CsvTest, QuotingRoundTrip) {
-  Schema s;
-  s.columns = {{"t", Type::kText, 0}};
-  Table t("q", s);
-  ASSERT_TRUE(t.Insert({Value::Text("a,b")}).ok());
-  ASSERT_TRUE(t.Insert({Value::Text("say \"hi\"")}).ok());
-  ASSERT_TRUE(t.Insert({Value::Text("line\nbreak")}).ok());
-  ASSERT_TRUE(t.Insert({Value::Text("")}).ok());      // empty string
-  ASSERT_TRUE(t.Insert({Value::Null()}).ok());         // vs NULL
-  const std::string csv = ExportCsv(t);
-  Table back("q", s);
-  ASSERT_TRUE(ImportCsv(csv, &back).ok());
-  EXPECT_EQ(back.rows(), t.rows());
-}
-
-TEST(CsvTest, RejectsBadInput) {
-  Schema s;
-  s.columns = {{"a", Type::kInt, 0}, {"b", Type::kInt, 0}};
-  Table t("x", s);
-  EXPECT_FALSE(ImportCsv("", &t).ok());                     // no header
-  EXPECT_FALSE(ImportCsv("a,wrong\n1,2\n", &t).ok());       // bad header
-  EXPECT_FALSE(ImportCsv("a,b\n1\n", &t).ok());             // arity
-  EXPECT_FALSE(ImportCsv("a,b\n1,\"unterminated\n", &t).ok());
-  EXPECT_FALSE(ImportCsv("a,b\n1,notanint\n", &t).ok());
 }
 
 }  // namespace

@@ -969,6 +969,84 @@ INSTANTIATE_TEST_SUITE_P(Threads, StreamDecoderContract,
                            return "threads" + std::to_string(info.param);
                          });
 
+// The sink runs serially, in sequence order, on whichever worker drains
+// the window; a failing or throwing sink must stop the encode right there.
+// Each sink call sleeps 1 ms, far longer than building an emblem, so at
+// threads 4 the window of 8 emblems is full and the other workers wait at
+// its gate when the sink fails: a failure that did not release them would
+// hang the test.
+class EncodeToSinkContract : public ::testing::TestWithParam<int> {
+ protected:
+  EncodeToSinkContract() {
+    opt_.data_side = 65;
+    opt_.threads = GetParam();
+    // 40 data emblems of 203 bytes: three groups, 49 real slots with a
+    // virtual gap (seqs 46..56) before the last group's parity.
+    stream_ = RandomBytes(17, 40 * 203);
+    Options serial = opt_;
+    serial.threads = 1;
+    for (const EncodedEmblem& e :
+         Encode(stream_, StreamId::kData, serial, /*render=*/false).emblems) {
+      seqs_.push_back(e.header.seq);
+    }
+  }
+
+  Options opt_;
+  Bytes stream_;
+  std::vector<uint16_t> seqs_;  // every sink call of a complete encode
+};
+
+TEST_P(EncodeToSinkContract, FailingSinkSeesExactlyItsCallsInOrder) {
+  ASSERT_EQ(seqs_.size(), 49u);
+  for (size_t k : {size_t{1}, size_t{2}, size_t{9}, size_t{46}, size_t{49}}) {
+    std::vector<uint16_t> seen;
+    const Status st = EncodeToSink(
+        stream_, StreamId::kData, opt_, /*render=*/true,
+        [&](EncodedEmblem&& emblem, media::Image&& frame) -> Status {
+          EXPECT_FALSE(frame.empty());
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          seen.push_back(emblem.header.seq);
+          if (seen.size() == k) {
+            return Status::IoError("reel full at call " + std::to_string(k));
+          }
+          return Status::OK();
+        });
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << "k=" << k;
+    EXPECT_EQ(st.message(), "reel full at call " + std::to_string(k));
+    EXPECT_EQ(seen, std::vector<uint16_t>(seqs_.begin(), seqs_.begin() + k))
+        << "k=" << k;
+  }
+}
+
+TEST_P(EncodeToSinkContract, ThrowingSinkRethrowsWithoutLaterCalls) {
+  for (size_t k : {size_t{1}, size_t{12}, size_t{47}}) {
+    std::atomic<size_t> calls{0};
+    try {
+      (void)EncodeToSink(
+          stream_, StreamId::kData, opt_, /*render=*/false,
+          [&](EncodedEmblem&& emblem, media::Image&&) -> Status {
+            EXPECT_EQ(emblem.header.seq, seqs_[calls.load()]);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            if (calls.fetch_add(1) + 1 == k) {
+              throw std::runtime_error("spool write threw");
+            }
+            return Status::OK();
+          });
+      ADD_FAILURE() << "EncodeToSink did not rethrow, k=" << k;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "spool write threw");
+    }
+    // Every worker has returned by now: a later call would show here.
+    EXPECT_EQ(calls.load(), k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, EncodeToSinkContract,
+                         ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
 }  // namespace
 }  // namespace mocoder
 }  // namespace ule

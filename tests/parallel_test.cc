@@ -1,6 +1,5 @@
 // Tests for support/parallel.h: pool lifecycle and persistence, ParallelFor
-// bounds and determinism, ordered streaming, bounded channels,
-// Status/exception propagation. Thread counts are passed explicitly so the
+// bounds and determinism, bounded channels, Status/exception propagation. Thread counts are passed explicitly so the
 // concurrent paths are exercised even on small CI machines (where
 // DefaultThreadCount() may be 1).
 
@@ -51,6 +50,23 @@ TEST(ThreadCountTest, ResolvePrefersExplicit) {
   EXPECT_EQ(ResolveThreadCount(7), 7);
   EXPECT_GE(ResolveThreadCount(0), 1);
   EXPECT_GE(ResolveThreadCount(-2), 1);
+}
+
+TEST(ThreadCountTest, ResolveClampsToPoolCap) {
+  // Resolving a count starts no thread, so absurd knobs are safe to ask.
+  EXPECT_EQ(ResolveThreadCount(100000), ThreadPool::kMaxThreads);
+  EXPECT_EQ(ResolveThreadCount(ThreadPool::kMaxThreads),
+            ThreadPool::kMaxThreads);
+  const char* prior_raw = std::getenv("ULE_THREADS");
+  const std::string prior = prior_raw != nullptr ? prior_raw : "";
+  ASSERT_EQ(setenv("ULE_THREADS", "100000", /*overwrite=*/1), 0);
+  EXPECT_EQ(ResolveThreadCount(0), ThreadPool::kMaxThreads);
+  EXPECT_EQ(ResolveThreadCount(3), 3);  // an explicit knob still wins
+  if (prior_raw != nullptr) {
+    ASSERT_EQ(setenv("ULE_THREADS", prior.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("ULE_THREADS"), 0);
+  }
 }
 
 // ---------------- ThreadPool lifecycle ----------------
@@ -287,125 +303,6 @@ TEST(ParallelForTest, ManyMoreItemsThanWorkers) {
   EXPECT_EQ(sum.load(), 10000ull * 9999 / 2);
 }
 
-// ---------------- ParallelForOrdered ----------------
-
-TEST(ParallelForOrderedTest, ConsumesEveryIndexInOrder) {
-  std::vector<uint64_t> slots(8, 0);  // ring, window = 8
-  std::vector<size_t> consumed_order;
-  std::vector<uint64_t> consumed_values;
-  Status s = ParallelForOrdered(
-      0, 300,
-      [&](size_t i) -> Status {
-        slots[i % slots.size()] = i * 3 + 1;
-        return Status::OK();
-      },
-      [&](size_t i) -> Status {
-        consumed_order.push_back(i);
-        consumed_values.push_back(slots[i % slots.size()]);
-        return Status::OK();
-      },
-      4, static_cast<int>(slots.size()));
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  ASSERT_EQ(consumed_order.size(), 300u);
-  for (size_t i = 0; i < consumed_order.size(); ++i) {
-    EXPECT_EQ(consumed_order[i], i);
-    EXPECT_EQ(consumed_values[i], i * 3 + 1);  // slot not yet overwritten
-  }
-}
-
-TEST(ParallelForOrderedTest, WindowBoundsInFlightItems) {
-  // produce(i) must never start before consume(i - window) returned: the
-  // count of produced-but-unconsumed items stays <= window.
-  constexpr int kWindow = 4;
-  std::atomic<int> live(0);
-  std::atomic<int> max_live(0);
-  Status s = ParallelForOrdered(
-      0, 500,
-      [&](size_t) -> Status {
-        const int now = live.fetch_add(1) + 1;
-        int seen = max_live.load();
-        while (now > seen && !max_live.compare_exchange_weak(seen, now)) {
-        }
-        return Status::OK();
-      },
-      [&](size_t) -> Status {
-        live.fetch_sub(1);
-        return Status::OK();
-      },
-      8, kWindow);
-  ASSERT_TRUE(s.ok());
-  EXPECT_LE(max_live.load(), kWindow);
-}
-
-TEST(ParallelForOrderedTest, SerialPathInterleavesProduceConsume) {
-  std::vector<std::string> trace;
-  Status s = ParallelForOrdered(
-      0, 3,
-      [&](size_t i) { trace.push_back("p" + std::to_string(i)); return Status::OK(); },
-      [&](size_t i) { trace.push_back("c" + std::to_string(i)); return Status::OK(); },
-      1);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(trace, (std::vector<std::string>{"p0", "c0", "p1", "c1", "p2",
-                                             "c2"}));
-}
-
-TEST(ParallelForOrderedTest, ProducerFailureStopsConsumptionBeforeIt) {
-  std::vector<size_t> consumed;
-  Status s = ParallelForOrdered(
-      0, 100,
-      [&](size_t i) -> Status {
-        if (i == 7) return Status::Corruption("bad 7");
-        return Status::OK();
-      },
-      [&](size_t i) -> Status {
-        consumed.push_back(i);
-        return Status::OK();
-      },
-      4);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-  EXPECT_EQ(s.message(), "bad 7");
-  // Exactly the prefix a serial loop would have consumed.
-  std::vector<size_t> expected(7);
-  std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(consumed, expected);
-}
-
-TEST(ParallelForOrderedTest, ConsumerFailureWins) {
-  std::vector<size_t> consumed;
-  Status s = ParallelForOrdered(
-      0, 100, [](size_t) { return Status::OK(); },
-      [&](size_t i) -> Status {
-        consumed.push_back(i);
-        if (i == 5) return Status::InvalidArgument("stop at 5");
-        return Status::OK();
-      },
-      4);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  ASSERT_EQ(consumed.size(), 6u);
-  EXPECT_EQ(consumed.back(), 5u);
-}
-
-TEST(ParallelForOrderedTest, ProducerExceptionPropagates) {
-  EXPECT_THROW(
-      (void)ParallelForOrdered(
-          0, 50,
-          [&](size_t i) -> Status {
-            if (i == 11) throw std::runtime_error("boom");
-            return Status::OK();
-          },
-          [](size_t) { return Status::OK(); }, 4),
-      std::runtime_error);
-}
-
-TEST(ParallelForOrderedTest, EmptyRangeIsNoOp) {
-  int calls = 0;
-  auto fn = [&](size_t) { ++calls; return Status::OK(); };
-  EXPECT_TRUE(ParallelForOrdered(4, 4, fn, fn, 4).ok());
-  EXPECT_EQ(calls, 0);
-}
-
 // ---------------- BoundedChannel ----------------
 
 TEST(BoundedChannelTest, FifoAndCapacity) {
@@ -433,20 +330,22 @@ TEST(BoundedChannelTest, CloseDrainsThenEnds) {
   ch.Close();
   int c = 3;
   EXPECT_FALSE(ch.TryPush(c));
-  EXPECT_FALSE(ch.Push(std::move(c)));
   EXPECT_EQ(ch.Pop().value(), 1);
   EXPECT_EQ(ch.Pop().value(), 2);
   EXPECT_FALSE(ch.Pop().has_value());  // closed and drained: no block
 }
 
 TEST(BoundedChannelTest, BlockingHandoffAcrossThreads) {
-  BoundedChannel<int> ch(2);  // smaller than the item count: must block
+  // Smaller than the item count: the producer retries full pushes and the
+  // consumer blocks in Pop whenever it empties the channel.
+  BoundedChannel<int> ch(2);
   std::vector<int> received;
   std::thread consumer([&] {
     while (auto v = ch.Pop()) received.push_back(*v);
   });
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(ch.Push(int(i)));
+    int item = i;
+    while (!ch.TryPush(item)) std::this_thread::yield();
   }
   ch.Close();
   consumer.join();
