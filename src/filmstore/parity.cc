@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <utility>
 
 #include "rs/gf256.h"
@@ -52,25 +53,6 @@ Bytes ParityHeader(size_t parity_index, size_t data_reels,
   w.PutU16(0);  // reserved
   w.PutU32(0);  // reserved
   return w.TakeBytes();
-}
-
-/// Parity weights of the systematic RS(n+m, n) code: `coeff[p][i]` is
-/// the GF(256) weight of data stream i in parity stream p. Parity is
-/// linear in the data, so encoding the n unit vectors recovers the
-/// whole matrix — and lets the striped passes below work byte-at-a-time
-/// without ever calling the polynomial encoder per offset.
-Result<std::vector<std::vector<uint8_t>>> ParityCoefficients(size_t n,
-                                                             size_t m) {
-  rs::Codec codec(static_cast<int>(n + m), static_cast<int>(n));
-  std::vector<std::vector<uint8_t>> coeff(m, std::vector<uint8_t>(n, 0));
-  Bytes unit(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    std::fill(unit.begin(), unit.end(), 0);
-    unit[i] = 1;
-    ULE_ASSIGN_OR_RETURN(Bytes codeword, codec.Encode(unit));
-    for (size_t p = 0; p < m; ++p) coeff[p][i] = codeword[n + p];
-  }
-  return coeff;
 }
 
 /// One input stream of a striped pass: `payload_bytes` real bytes at
@@ -256,8 +238,16 @@ Result<ReelCatalog> ParityReelWriter::Build(const std::string& catalog_path,
   }
 
   const uint64_t stripe = StripeLength(catalog);
-  ULE_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> coeff,
-                       ParityCoefficients(n, m));
+  // The weights that rebuild the parity positions n..n+m-1 of RS(n+m, n)
+  // from the data positions encode: row p, read at the data reels'
+  // positions 0..n-1, is parity reel p's weight per data reel.
+  std::vector<int> parity_positions(m);
+  std::iota(parity_positions.begin(), parity_positions.end(),
+            static_cast<int>(n));
+  ULE_ASSIGN_OR_RETURN(
+      std::vector<Bytes> weights,
+      rs::Codec(static_cast<int>(n + m), static_cast<int>(n))
+          .ErasureWeights(parity_positions));
 
   std::vector<StripeInput> inputs(n);
   for (size_t i = 0; i < n; ++i) {
@@ -277,7 +267,7 @@ Result<ReelCatalog> ParityReelWriter::Build(const std::string& catalog_path,
     outputs[p].want_bytes = kParityReelHeaderBytes + stripe;
   }
   ULE_RETURN_IF_ERROR(
-      StripeTransform(inputs, outputs, coeff, stripe, /*verify=*/false));
+      StripeTransform(inputs, outputs, weights, stripe, /*verify=*/false));
 
   catalog.parity.parity_reels = static_cast<uint8_t>(m);
   catalog.parity.stripe_bytes = stripe;
@@ -359,36 +349,36 @@ Result<uint64_t> ReconstructDamaged(const ReelCatalog& catalog,
   const size_t n = catalog.reels.size();
   const size_t m = catalog.parity.parity_reels;
   const uint64_t stripe = catalog.parity.stripe_bytes;
-  ULE_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> coeff,
-                       ParityCoefficients(n, m));
 
-  // Streams 0..n-1 are the data reels, n..n+m-1 the parity reels. Pick
-  // the first n surviving streams; the RS code guarantees they span.
+  // Streams 0..n-1 are the data reels, n..n+m-1 the parity reels, one
+  // RS(n+m, n) codeword position each. The first n surviving streams are
+  // the inputs; every other position (exactly m of them, the damaged
+  // ones among them) is rebuilt from those by its erasure weight row.
   std::vector<bool> damaged(n + m, false);
   for (size_t i : health.damaged_data) damaged[i] = true;
   for (size_t p : health.damaged_parity) damaged[n + p] = true;
   std::vector<size_t> survivors;
-  for (size_t s = 0; s < n + m && survivors.size() < n; ++s) {
-    if (!damaged[s]) survivors.push_back(s);
-  }
-  if (survivors.size() < n) {
-    return Status::InvalidArgument("not enough surviving streams");
-  }
-
-  // Row r of `a` expresses survivor r as a combination of the n data
-  // streams; inverting gives every data stream as a combination of the
-  // survivors.
-  std::vector<std::vector<uint8_t>> a(n, std::vector<uint8_t>(n, 0));
-  for (size_t r = 0; r < n; ++r) {
-    const size_t s = survivors[r];
-    if (s < n) {
-      a[r][s] = 1;
+  std::vector<int> missing;
+  for (size_t s = 0; s < n + m; ++s) {
+    if (!damaged[s] && survivors.size() < n) {
+      survivors.push_back(s);
     } else {
-      a[r] = coeff[s - n];
+      missing.push_back(static_cast<int>(s));
     }
   }
-  ULE_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> inv,
-                       rs::InvertGf256Matrix(std::move(a)));
+  ULE_ASSIGN_OR_RETURN(
+      std::vector<Bytes> rebuild,
+      rs::Codec(static_cast<int>(n + m), static_cast<int>(n))
+          .ErasureWeights(missing));
+  // Stream `pos`'s weight row, restricted to the survivors (the inputs).
+  auto weights_of = [&](size_t pos) {
+    const Bytes& row = rebuild[static_cast<size_t>(
+        std::find(missing.begin(), missing.end(), static_cast<int>(pos)) -
+        missing.begin())];
+    Bytes w(n);
+    for (size_t r = 0; r < n; ++r) w[r] = row[survivors[r]];
+    return w;
+  };
 
   std::vector<StripeInput> inputs(n);
   for (size_t r = 0; r < n; ++r) {
@@ -413,7 +403,7 @@ Result<uint64_t> ReconstructDamaged(const ReelCatalog& catalog,
     out.want_bytes = row.bytes;
     out.want_crc = row.file_crc;
     outputs.push_back(std::move(out));
-    weights.push_back(inv[d]);  // data stream d over the survivors
+    weights.push_back(weights_of(d));
   }
   if (options.rebuild_parity) {
     for (size_t p : health.damaged_parity) {
@@ -425,17 +415,7 @@ Result<uint64_t> ReconstructDamaged(const ReelCatalog& catalog,
       out.want_bytes = row.bytes;
       out.want_crc = row.file_crc;
       outputs.push_back(std::move(out));
-      // parity p = coeff[p] · data = (coeff[p] · inv) · survivors
-      std::vector<uint8_t> w(n, 0);
-      for (size_t r = 0; r < n; ++r) {
-        uint8_t acc = 0;
-        for (size_t i = 0; i < n; ++i) {
-          acc = static_cast<uint8_t>(
-              acc ^ rs::Gf256::Mul(coeff[p][i], inv[i][r]));
-        }
-        w[r] = acc;
-      }
-      weights.push_back(std::move(w));
+      weights.push_back(weights_of(n + p));
     }
   }
 

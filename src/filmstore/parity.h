@@ -21,8 +21,11 @@
 /// set and registers them in the catalog's ULE-P1 section;
 /// `AssessSet`/`ReconstructDamaged` are the repair half, shared by
 /// `ReelSetReader` (transparent reconstruction on open) and the scrub
-/// engine (in-place repair). Encoding and reconstruction both stream in
-/// bounded chunks: a reel can be far larger than RAM.
+/// engine (in-place repair). Both are one pass of
+/// `rs::Codec::ErasureWeights` rows over the stripe: encoding rebuilds
+/// the parity positions from the data reels, repair rebuilds every
+/// position outside the first n surviving streams from those. Both
+/// stream in bounded chunks: a reel can be far larger than RAM.
 
 #ifndef ULE_FILMSTORE_PARITY_H_
 #define ULE_FILMSTORE_PARITY_H_

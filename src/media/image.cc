@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 #include <cstring>
+#include <limits>
 
 #include "support/io.h"
 
@@ -88,7 +89,11 @@ Result<size_t> ParseNetpbmHeader(BytesView data, const char* magic, int* w,
     int v = 0;
     bool any = false;
     while (pos < data.size() && std::isdigit(data[pos])) {
-      v = v * 10 + (data[pos] - '0');
+      const int digit = data[pos] - '0';
+      if (v > (std::numeric_limits<int>::max() - digit) / 10) {
+        return Status::Corruption("netpbm header number out of range");
+      }
+      v = v * 10 + digit;
       ++pos;
       any = true;
     }
@@ -148,8 +153,8 @@ Result<Image> Image::FromPbm(BytesView data) {
   ULE_ASSIGN_OR_RETURN(size_t pos,
                        ParseNetpbmHeader(data, "P4", &w, &h, &unused, false));
   if (w <= 0 || h <= 0) return Status::Corruption("bad PBM geometry");
-  const int row_bytes = (w + 7) / 8;
-  const size_t need = static_cast<size_t>(row_bytes) * h;
+  const size_t row_bytes = (static_cast<size_t>(w) + 7) / 8;
+  const size_t need = row_bytes * h;
   if (data.size() - pos < need) return Status::Corruption("truncated PBM");
   // One table lookup per input byte: its eight pixels, most significant bit
   // first, 1 = black. A row's last byte contributes only its leading w % 8

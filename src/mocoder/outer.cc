@@ -37,11 +37,43 @@ int FrameIndexOfSeq(uint16_t seq, size_t stream_len, int capacity) {
   return g * kGroupSize + last_group_data + (s - kGroupData);
 }
 
+namespace {
+
+const rs::Codec& OuterCode() {
+  static const rs::Codec codec(kGroupSize, kGroupData);
+  return codec;
+}
+
+// The parity rows of a group whose first kGroupData `rows` are its data:
+// one RS(20,17) codeword per byte column, computed as whole rows. Parity
+// row p is `XOR_s w[p][s] * row_s` with the weights that rebuild the
+// parity positions from the data positions, which the SIMD MulSliceAccum
+// kernel walks 16/32 bytes at a time.
+std::vector<Bytes> EncodeParityRows(const std::vector<Bytes>& rows) {
+  static const std::vector<Bytes> weights =
+      OuterCode()
+          .ErasureWeights({kGroupData, kGroupData + 1, kGroupData + 2})
+          .TakeValue();  // the parity positions: cannot fail
+  const size_t capacity = rows[0].size();
+  std::vector<Bytes> parity(kGroupParity, Bytes(capacity, 0));
+  for (int s = 0; s < kGroupData; ++s) {
+    for (int p = 0; p < kGroupParity; ++p) {
+      rs::Gf256::MulSliceAccum(parity[static_cast<size_t>(p)].data(),
+                               rows[static_cast<size_t>(s)].data(),
+                               weights[static_cast<size_t>(p)]
+                                      [static_cast<size_t>(s)],
+                               capacity);
+    }
+  }
+  return parity;
+}
+
+}  // namespace
+
 std::vector<std::optional<Bytes>> BuildGroupPayloads(BytesView stream,
                                                      int capacity) {
   const int d = DataEmblemCount(stream.size(), capacity);
   const int groups = (d + kGroupData - 1) / kGroupData;
-  static const rs::Codec outer(kGroupSize, kGroupData);
 
   std::vector<std::optional<Bytes>> out(
       static_cast<size_t>(groups) * kGroupSize);
@@ -63,26 +95,10 @@ std::vector<std::optional<Bytes>> BuildGroupPayloads(BytesView stream,
       out[static_cast<size_t>(g) * kGroupSize + s] =
           data[static_cast<size_t>(s)];
     }
-    // RS(20,17), one codeword per byte position — but computed as whole
-    // rows: parity row p is the GF(256) linear combination
-    // `XOR_s weights[s][p] * data_row_s` (parity is linear in the data),
-    // which the SIMD MulSliceAccum kernel walks 16/32 bytes at a time.
-    // Byte-identical to the old per-column Encode loop.
-    static const std::vector<Bytes> weights = outer.ParityWeights();
-    std::vector<Bytes> parity(kGroupParity,
-                              Bytes(static_cast<size_t>(capacity), 0));
-    for (int s = 0; s < kGroupData; ++s) {
-      for (int p = 0; p < kGroupParity; ++p) {
-        rs::Gf256::MulSliceAccum(
-            parity[static_cast<size_t>(p)].data(),
-            data[static_cast<size_t>(s)].data(),
-            weights[static_cast<size_t>(s)][static_cast<size_t>(p)],
-            static_cast<size_t>(capacity));
-      }
-    }
+    std::vector<Bytes> parity = EncodeParityRows(data);
     for (int p = 0; p < kGroupParity; ++p) {
       out[static_cast<size_t>(g) * kGroupSize + kGroupData + p] =
-          parity[static_cast<size_t>(p)];
+          std::move(parity[static_cast<size_t>(p)]);
     }
   }
   return out;
@@ -92,10 +108,11 @@ Result<std::vector<Bytes>> RecoverGroupData(
     int group, const std::map<uint16_t, Bytes>& payloads, size_t stream_len,
     int capacity) {
   const int d = DataEmblemCount(stream_len, capacity);
-  static const rs::Codec outer(kGroupSize, kGroupData);
+  const size_t cap = static_cast<size_t>(capacity);
 
-  // Which slots are real in this group, which are present?
-  std::vector<const Bytes*> slot(kGroupSize, nullptr);
+  // The group's rows as received: missing and virtual slots read as zero.
+  std::vector<Bytes> rows(kGroupSize, Bytes(cap, 0));
+  std::vector<bool> present(kGroupSize, false);
   std::vector<int> missing_real;
   for (int s = 0; s < kGroupSize; ++s) {
     const uint16_t seq = static_cast<uint16_t>(group * kGroupSize + s);
@@ -103,10 +120,11 @@ Result<std::vector<Bytes>> RecoverGroupData(
         s < kGroupData && (group * kGroupData + s) >= d;
     auto it = payloads.find(seq);
     if (it != payloads.end()) {
-      if (static_cast<int>(it->second.size()) != capacity) {
+      if (it->second.size() != cap) {
         return Status::InvalidArgument("emblem payload has wrong size");
       }
-      slot[static_cast<size_t>(s)] = &it->second;
+      rows[static_cast<size_t>(s)] = it->second;
+      present[static_cast<size_t>(s)] = true;
     } else if (!is_virtual) {
       missing_real.push_back(s);
     }
@@ -118,96 +136,54 @@ Result<std::vector<Bytes>> RecoverGroupData(
         " emblems; only 3 of 20 are recoverable");
   }
 
-  std::vector<Bytes> recovered(missing_real.size(),
-                               Bytes(static_cast<size_t>(capacity), 0));
   if (!missing_real.empty()) {
-    // Bulk erasure repair, whole rows at a time. Per byte column the
-    // received word (zeros at the missing slots) is codeword + e with e
-    // supported on the missing positions, so its syndromes reduce to
-    // `S_i = XOR_m e_m * SyndromeFactor(i, pos_m)` — a rho×rho linear
-    // system whose matrix depends only on the erasure *positions*.
-    // Accumulate syndrome rows with one MulSliceAccum per present slot,
-    // solve the little system once, and every missing row is a linear
-    // combination of syndrome rows.
-    const size_t rho = missing_real.size();
-    std::vector<Bytes> synd(kGroupParity,
-                            Bytes(static_cast<size_t>(capacity), 0));
-    for (int i = 0; i < kGroupParity; ++i) {
+    // Bulk erasure repair, whole rows at a time: the weights for these
+    // missing positions rebuild every byte column's codeword at once.
+    ULE_ASSIGN_OR_RETURN(std::vector<Bytes> weights,
+                         OuterCode().ErasureWeights(missing_real));
+    for (size_t m = 0; m < missing_real.size(); ++m) {
+      Bytes& lost = rows[static_cast<size_t>(missing_real[m])];
       for (int s = 0; s < kGroupSize; ++s) {
-        if (!slot[static_cast<size_t>(s)]) continue;  // zero row
-        rs::Gf256::MulSliceAccum(synd[static_cast<size_t>(i)].data(),
-                                 slot[static_cast<size_t>(s)]->data(),
-                                 outer.SyndromeFactor(i, s),
-                                 static_cast<size_t>(capacity));
-      }
-    }
-    std::vector<std::vector<uint8_t>> a(rho, std::vector<uint8_t>(rho, 0));
-    for (size_t i = 0; i < rho; ++i) {
-      for (size_t m = 0; m < rho; ++m) {
-        a[i][m] = outer.SyndromeFactor(static_cast<int>(i), missing_real[m]);
-      }
-    }
-    ULE_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> inv,
-                         rs::InvertGf256Matrix(std::move(a)));
-    for (size_t m = 0; m < rho; ++m) {
-      for (size_t i = 0; i < rho; ++i) {
-        rs::Gf256::MulSliceAccum(recovered[m].data(),
-                                 synd[static_cast<size_t>(i)].data(),
-                                 inv[m][i], static_cast<size_t>(capacity));
+        if (!present[static_cast<size_t>(s)]) continue;
+        rs::Gf256::MulSliceAccum(lost.data(),
+                                 rows[static_cast<size_t>(s)].data(),
+                                 weights[m][static_cast<size_t>(s)], cap);
       }
     }
 
-    // The solve consumes rho of the 3 syndromes; when rho < 3 the spare
-    // ones must also vanish for the repaired word to be a codeword.
-    // Columns where they don't hold a byte *error* on top of the
-    // erasures — exactly what the full decoder can still fix (or
-    // reject) — so those fall back to the per-column path, ascending,
-    // which keeps results and first-failure statuses identical to the
-    // old all-columns Decode loop.
-    Bytes residual(static_cast<size_t>(capacity), 0);
-    for (int i = static_cast<int>(rho); i < kGroupParity; ++i) {
-      Bytes check = synd[static_cast<size_t>(i)];
-      for (size_t m = 0; m < rho; ++m) {
-        rs::Gf256::MulSliceAccum(check.data(), recovered[m].data(),
-                                 outer.SyndromeFactor(i, missing_real[m]),
-                                 static_cast<size_t>(capacity));
-      }
-      for (int j = 0; j < capacity; ++j) {
-        residual[static_cast<size_t>(j)] |= check[static_cast<size_t>(j)];
-      }
-    }
+    // With fewer than 3 erasures the repaired column is a codeword only
+    // if its parity also equals the encoding of its data. A column where
+    // it does not holds a byte *error* on top of the erasures — exactly
+    // what the full decoder can still fix (or reject) — so those fall
+    // back to the per-column path, ascending, which keeps results and
+    // first-failure statuses identical to an all-columns Decode loop.
+    const std::vector<Bytes> parity = EncodeParityRows(rows);
     Bytes column(kGroupSize, 0);
-    for (int j = 0; j < capacity; ++j) {
-      if (residual[static_cast<size_t>(j)] == 0) continue;
+    for (size_t j = 0; j < cap; ++j) {
+      bool codeword = true;
+      for (int p = 0; p < kGroupParity; ++p) {
+        codeword &= parity[static_cast<size_t>(p)][j] ==
+                    rows[static_cast<size_t>(kGroupData + p)][j];
+      }
+      if (codeword) continue;
       for (int s = 0; s < kGroupSize; ++s) {
         column[static_cast<size_t>(s)] =
-            slot[static_cast<size_t>(s)]
-                ? (*slot[static_cast<size_t>(s)])[static_cast<size_t>(j)]
-                : 0;
+            present[static_cast<size_t>(s)] ? rows[static_cast<size_t>(s)][j]
+                                            : 0;
       }
-      auto fixed = outer.Decode(column, missing_real);
+      auto fixed = OuterCode().Decode(column, missing_real);
       if (!fixed.ok()) return fixed.status();
-      for (size_t m = 0; m < rho; ++m) {
-        if (missing_real[m] < kGroupData) {
-          recovered[m][static_cast<size_t>(j)] =
-              fixed.value()[static_cast<size_t>(missing_real[m])];
+      for (int s : missing_real) {
+        if (s < kGroupData) {
+          rows[static_cast<size_t>(s)][j] =
+              fixed.value()[static_cast<size_t>(s)];
         }
       }
     }
   }
 
-  std::vector<Bytes> data(kGroupData, Bytes(static_cast<size_t>(capacity), 0));
-  for (int s = 0; s < kGroupData; ++s) {
-    if (slot[static_cast<size_t>(s)]) {
-      data[static_cast<size_t>(s)] = *slot[static_cast<size_t>(s)];
-    } else if (auto it = std::find(missing_real.begin(), missing_real.end(), s);
-               it != missing_real.end()) {
-      data[static_cast<size_t>(s)] =
-          recovered[static_cast<size_t>(it - missing_real.begin())];
-    }
-    // else: a virtual tail slot — stays zero-filled.
-  }
-  return data;
+  rows.resize(kGroupData);  // the data slots; virtual ones stay zero
+  return rows;
 }
 
 Result<Bytes> ReassembleStream(const std::map<uint16_t, Bytes>& payloads,

@@ -130,54 +130,50 @@ Result<Bytes> Codec::Encode(BytesView data) const {
   return codeword;
 }
 
-std::vector<Bytes> Codec::ParityWeights() const {
-  std::vector<Bytes> rows(static_cast<size_t>(k_));
-  Bytes unit(static_cast<size_t>(k_), 0);
-  for (int i = 0; i < k_; ++i) {
-    unit[static_cast<size_t>(i)] = 1;
-    Bytes cw = Encode(unit).TakeValue();  // size == k_: cannot fail
-    rows[static_cast<size_t>(i)] = Bytes(cw.begin() + k_, cw.end());
-    unit[static_cast<size_t>(i)] = 0;
+Result<std::vector<Bytes>> Codec::ErasureWeights(
+    const std::vector<int>& missing) const {
+  const size_t rho = missing.size();
+  if (static_cast<int>(rho) > n_ - k_) {
+    return Status::InvalidArgument(
+        "RS erasure weights: " + std::to_string(rho) +
+        " positions exceed parity " + std::to_string(n_ - k_));
   }
-  return rows;
-}
-
-uint8_t Codec::SyndromeFactor(int i, int pos) const {
-  assert(i >= 0 && i < n_ - k_ && pos >= 0 && pos < n_);
-  return G::Exp(((kFcr + i) * (n_ - 1 - pos)) % 255);
-}
-
-Result<std::vector<std::vector<uint8_t>>> InvertGf256Matrix(
-    std::vector<std::vector<uint8_t>> a) {
-  const size_t n = a.size();
-  std::vector<std::vector<uint8_t>> inv(n, std::vector<uint8_t>(n, 0));
-  for (size_t i = 0; i < n; ++i) inv[i][i] = 1;
-  for (size_t col = 0; col < n; ++col) {
-    size_t pivot = col;
-    while (pivot < n && a[pivot][col] == 0) ++pivot;
-    if (pivot == n) {
-      return Status::ExecutionFault(
-          "singular reconstruction matrix (RS code is MDS; this is a bug)");
+  std::vector<bool> is_missing(static_cast<size_t>(n_), false);
+  for (int pos : missing) {
+    if (pos < 0 || pos >= n_ || is_missing[static_cast<size_t>(pos)]) {
+      return Status::InvalidArgument(
+          "RS erasure weights: position " + std::to_string(pos) +
+          " out of range or repeated");
     }
-    std::swap(a[pivot], a[col]);
-    std::swap(inv[pivot], inv[col]);
-    const uint8_t inv_pivot = G::Inv(a[col][col]);
-    for (size_t j = 0; j < n; ++j) {
-      a[col][j] = G::Mul(a[col][j], inv_pivot);
-      inv[col][j] = G::Mul(inv[col][j], inv_pivot);
+    is_missing[static_cast<size_t>(pos)] = true;
+  }
+  // Read the missing bytes as zero: the word becomes codeword + e with e
+  // the true bytes at `missing`, so with locators X_p = alpha^(n-1-p) the
+  // first rho syndromes (fcr = 1) give S_i = XOR_m X_m^(1+i) e_m. A present
+  // byte b at s adds b X_s^(1+i) to S_i, and the e that solves this
+  // Vandermonde system is the Lagrange interpolation
+  //   e_m = b (X_s / X_m) prod_{l != m} (X_s + X_l) / (X_m + X_l).
+  auto locator = [this](int pos) { return G::Exp(n_ - 1 - pos); };
+  std::vector<Bytes> weights(rho, Bytes(static_cast<size_t>(n_), 0));
+  for (size_t m = 0; m < rho; ++m) {
+    const uint8_t x_m = locator(missing[m]);
+    uint8_t denom = x_m;
+    for (size_t l = 0; l < rho; ++l) {
+      if (l == m) continue;
+      denom = G::Mul(denom, static_cast<uint8_t>(x_m ^ locator(missing[l])));
     }
-    for (size_t row = 0; row < n; ++row) {
-      if (row == col || a[row][col] == 0) continue;
-      const uint8_t factor = a[row][col];
-      for (size_t j = 0; j < n; ++j) {
-        a[row][j] =
-            static_cast<uint8_t>(a[row][j] ^ G::Mul(factor, a[col][j]));
-        inv[row][j] =
-            static_cast<uint8_t>(inv[row][j] ^ G::Mul(factor, inv[col][j]));
+    for (int s = 0; s < n_; ++s) {
+      if (is_missing[static_cast<size_t>(s)]) continue;
+      const uint8_t x_s = locator(s);
+      uint8_t num = x_s;
+      for (size_t l = 0; l < rho; ++l) {
+        if (l == m) continue;
+        num = G::Mul(num, static_cast<uint8_t>(x_s ^ locator(missing[l])));
       }
+      weights[m][static_cast<size_t>(s)] = G::Div(num, denom);
     }
   }
-  return inv;
+  return weights;
 }
 
 Result<Bytes> Codec::Decode(BytesView codeword, const std::vector<int>& erasures,

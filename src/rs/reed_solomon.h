@@ -11,6 +11,14 @@
 ///    17 data emblems, 3 parity bytes allow full restoration when any
 ///    3 whole emblems of the 20 are missing (erasure decoding).
 ///
+/// The ULE-P1 parity reels (filmstore/parity.h) are a third use: an
+/// RS(n+m, n) code across the n data reels of a set.
+///
+/// `Codec::ErasureWeights` is the single bulk encode/repair entry: the
+/// outer code's parity emblems and lost-emblem repair (mocoder/outer.cc)
+/// and the parity reels' encode and repair all apply its weight rows to
+/// whole byte rows at once. All GF(256) erasure algebra lives here.
+///
 /// Decoder: Berlekamp–Massey over Forney-modified syndromes, Chien search,
 /// Forney magnitude evaluation. First consecutive root fcr = 1.
 ///
@@ -67,24 +75,22 @@ class Codec {
   Result<Bytes> Decode(BytesView codeword, const std::vector<int>& erasures = {},
                        DecodeInfo* info = nullptr) const;
 
-  /// \brief Parity weight rows of the systematic code.
+  /// \brief Weights that rebuild erased codeword positions from the rest:
+  /// the one bulk encode/repair entry of the codec.
   ///
-  /// Row i (k rows of parity() bytes each) is the parity of the i-th
-  /// unit data vector; parity is linear in the data, so the parity of
-  /// any word is `XOR_i data[i] * row_i`. Callers encoding many
-  /// codewords that share byte positions (one codeword per byte column
-  /// across a group of streams) can therefore produce whole parity
-  /// *rows* with `Gf256::MulSliceAccum` — byte-identical to per-column
-  /// Encode, k*parity() multiplies per row instead of per byte.
-  std::vector<Bytes> ParityWeights() const;
-
-  /// \brief The GF(256) weight of codeword byte `pos` in syndrome S_i,
-  /// i.e. alpha^((fcr + i) * (n-1-pos)) for i in [0, parity()).
-  ///
-  /// Lets callers accumulate the syndromes of whole byte rows (one
-  /// MulSliceAccum per present row) for bulk erasure reconstruction;
-  /// matches exactly what Decode computes per codeword.
-  uint8_t SyndromeFactor(int i, int pos) const;
+  /// For rho <= parity() distinct positions in `missing`, returns rho
+  /// rows of n weights; row m gives position missing[m]'s byte of any
+  /// codeword as `XOR_s w[m][s] * word[s]` over the positions s not in
+  /// `missing` (the weights at the missing positions are 0). The rows
+  /// depend only on the positions, so callers holding one codeword per
+  /// byte column across a group of streams rebuild whole missing *rows*
+  /// with `Gf256::MulSliceAccum`, byte-identical to a per-column erasure
+  /// Decode of a word that is intact elsewhere.
+  /// Encoding is the case missing = the parity positions k..n-1.
+  /// InvalidArgument for a repeated or out-of-range position or more
+  /// than parity() of them.
+  Result<std::vector<Bytes>> ErasureWeights(
+      const std::vector<int>& missing) const;
 
  private:
   /// Writes the parity() syndromes of the n-byte `word` to `synd`;
@@ -97,13 +103,6 @@ class Codec {
   // root_mul_[i * 256 + x] = x * alpha^(fcr + i), one row per parity root.
   Bytes root_mul_;
 };
-
-/// Inverts a square GF(256) matrix by Gauss–Jordan elimination. Every
-/// matrix the erasure paths build from surviving streams of an MDS code
-/// is invertible; a singular input fails with ExecutionFault (caller
-/// bookkeeping bug, not data damage).
-Result<std::vector<std::vector<uint8_t>>> InvertGf256Matrix(
-    std::vector<std::vector<uint8_t>> a);
 
 }  // namespace rs
 }  // namespace ule

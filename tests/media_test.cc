@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "media/image.h"
 #include "media/profiles.h"
 #include "media/scanner.h"
@@ -119,6 +121,21 @@ TEST(ImageTest, RejectsGarbage) {
   EXPECT_FALSE(Image::FromPgm(ToBytes("not an image")).ok());
   EXPECT_FALSE(Image::FromPbm(ToBytes("P4")).ok());
   EXPECT_FALSE(Image::FromPgm(ToBytes("P5\n10 10\n255\n")).ok());  // truncated
+}
+
+// A header number past INT_MAX must be refused, not wrapped: read modulo
+// 2^32, each of these headers would describe a 1x1 (or 8x1) image that
+// its single pixel byte satisfies.
+TEST(ImageTest, RejectsHeaderNumbersThatOverflowInt) {
+  for (const char* header : {"P5\n4294967297 1\n255\n",
+                             "P5\n1 4294967297\n255\n"}) {
+    auto img = Image::FromPgm(ToBytes(std::string(header) + "x"));
+    ASSERT_FALSE(img.ok()) << header;
+    EXPECT_EQ(img.status().code(), StatusCode::kCorruption) << header;
+  }
+  auto pbm = Image::FromPbm(ToBytes("P4\n4294967304 1\nx"));
+  ASSERT_FALSE(pbm.ok());
+  EXPECT_EQ(pbm.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ScannerTest, IdentityProfileIsNearLossless) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "mocoder/emblem.h"
 #include "mocoder/mocoder.h"
 #include "mocoder/outer.h"
+#include "rs/reed_solomon.h"
 #include "support/crc32.h"
 #include "support/parallel.h"
 #include "support/random.h"
@@ -628,6 +630,90 @@ TEST_P(OuterLossSweep, RecoversUpToThreeLostPerGroup) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Losses, OuterLossSweep, ::testing::Range(0, 6));
+
+// The parity emblems are part of the format: each byte column of a group
+// is one RS(20,17) codeword over the 17 data payloads (virtual tail slots
+// zero), so every parity row must equal a per-column Codec::Encode.
+TEST(OuterTest, ParityRowsEqualPerColumnEncode) {
+  Rng rng(77);
+  const int cap = 64;
+  const Bytes stream = RandomPayload(&rng, 40 * cap - 10);  // 17 + 17 + 6
+  auto payloads = BuildGroupPayloads(stream, cap);
+  ASSERT_EQ(payloads.size(), 3u * kGroupSize);
+  const rs::Codec outer(kGroupSize, kGroupData);
+  for (int g = 0; g < 3; ++g) {
+    for (int j = 0; j < cap; ++j) {
+      Bytes column(kGroupData, 0);
+      for (int s = 0; s < kGroupData; ++s) {
+        const auto& row = payloads[static_cast<size_t>(g * kGroupSize + s)];
+        if (row) column[static_cast<size_t>(s)] = (*row)[static_cast<size_t>(j)];
+      }
+      const Bytes cw = outer.Encode(column).TakeValue();
+      for (int p = 0; p < kGroupParity; ++p) {
+        const auto& row =
+            payloads[static_cast<size_t>(g * kGroupSize + kGroupData + p)];
+        ASSERT_TRUE(row.has_value()) << "group " << g << " parity " << p;
+        ASSERT_EQ((*row)[static_cast<size_t>(j)],
+                  cw[static_cast<size_t>(kGroupData + p)])
+            << "group " << g << " parity " << p << " column " << j;
+      }
+    }
+  }
+  // The final group's data slots past the stream are virtual: not emitted.
+  EXPECT_TRUE(payloads[2 * kGroupSize + 5].has_value());
+  EXPECT_FALSE(payloads[2 * kGroupSize + 6].has_value());
+}
+
+// A present row that is itself wrong, on top of lost rows. With one
+// erasure the per-column decoder still has the budget to place the error,
+// so the lost row comes back exact (the present row is returned as
+// received); with two erasures the column is past the budget.
+class OuterWrongPresentRow : public ::testing::Test {
+ protected:
+  static constexpr int kCap = 64;
+
+  void SetUp() override {
+    Rng rng(91);
+    stream_ = RandomPayload(&rng, kGroupData * kCap);
+    auto payloads = BuildGroupPayloads(stream_, kCap);
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      if (payloads[i]) present_[static_cast<uint16_t>(i)] = *payloads[i];
+    }
+    present_[0][kFlipColumn] ^= 0x5A;
+  }
+
+  Bytes Row(int s) const {
+    return Bytes(stream_.begin() + s * kCap, stream_.begin() + (s + 1) * kCap);
+  }
+
+  static constexpr size_t kFlipColumn = 13;
+  Bytes stream_;
+  std::map<uint16_t, Bytes> present_;
+};
+
+TEST_F(OuterWrongPresentRow, OneErasurePlusErrorRecoversTheLostRow) {
+  present_.erase(5);
+  auto data = RecoverGroupData(0, present_, stream_.size(), kCap);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data.value()[5], Row(5));
+  EXPECT_EQ(data.value()[0], present_.at(0));
+  EXPECT_NE(data.value()[0], Row(0));
+  for (int s = 1; s < kGroupData; ++s) {
+    EXPECT_EQ(data.value()[static_cast<size_t>(s)], Row(s)) << "slot " << s;
+  }
+}
+
+TEST_F(OuterWrongPresentRow, TwoErasuresPlusErrorAreCorruption) {
+  present_.erase(5);
+  present_.erase(18);
+  auto data = RecoverGroupData(0, present_, stream_.size(), kCap);
+  ASSERT_FALSE(data.ok());
+  EXPECT_EQ(data.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(data.status().message().find(
+                "too many errors (locator degree 1, erasures 2)"),
+            std::string::npos)
+      << data.status().ToString();
+}
 
 // ---------------- full stream round trips ----------------
 

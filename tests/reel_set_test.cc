@@ -23,6 +23,7 @@
 #include "filmstore/scrub.h"
 #include "media/scanner.h"
 #include "mocoder/mocoder.h"
+#include "rs/reed_solomon.h"
 #include "support/crc32.h"
 #include "support/io.h"
 #include "support/random.h"
@@ -445,6 +446,53 @@ TEST(ReelSetParityTest, ParityCatalogSectionRoundTripsThroughSerializeParse) {
               catalog.value().parity.reels[p].name);
     EXPECT_EQ(reparsed.value().parity.reels[p].file_crc,
               catalog.value().parity.reels[p].file_crc);
+  }
+}
+
+// FORMAT.md §10.1 promises that stripe byte j of parity reel p is parity
+// symbol p of the RS(n+m, n) codeword over byte j of every data reel
+// (zero-padded to the stripe). Checked here per offset with the plain
+// codec, for n = 3, m = 2.
+TEST(ReelSetParityTest, ParityStripeEqualsPerOffsetEncode) {
+  const EncodedStream data = MakeStream(mocoder::StreamId::kData, 1400, 72);
+  const EncodedStream system = MakeStream(mocoder::StreamId::kSystem, 300, 73);
+  const std::string path = WriteSet("parity_pin.uler", data, system,
+                                    ByFrames(5), /*parity_reels=*/2);
+  auto catalog = LoadCatalog(path);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const size_t n = catalog.value().reels.size();
+  const size_t m = catalog.value().parity.reels.size();
+  ASSERT_EQ(n, 3u);
+  ASSERT_EQ(m, 2u);
+  const uint64_t stripe = catalog.value().parity.stripe_bytes;
+
+  std::vector<Bytes> reels;
+  bool padded = false;
+  for (const CatalogReel& row : catalog.value().reels) {
+    auto bytes = ReadFileBytes(testing::TempDir() + row.name);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    padded |= bytes.value().size() < stripe;
+    reels.push_back(std::move(bytes).TakeValue());
+    reels.back().resize(stripe, 0);
+  }
+  EXPECT_TRUE(padded) << "every reel spans the stripe: padding unexercised";
+  std::vector<Bytes> parity;
+  for (const CatalogParityReel& row : catalog.value().parity.reels) {
+    auto bytes = ReadFileBytes(testing::TempDir() + row.name);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    ASSERT_EQ(bytes.value().size(), kParityReelHeaderBytes + stripe);
+    parity.push_back(std::move(bytes).TakeValue());
+  }
+
+  const rs::Codec codec(static_cast<int>(n + m), static_cast<int>(n));
+  Bytes word(n);
+  for (uint64_t j = 0; j < stripe; ++j) {
+    for (size_t i = 0; i < n; ++i) word[i] = reels[i][j];
+    const Bytes cw = codec.Encode(word).TakeValue();
+    for (size_t p = 0; p < m; ++p) {
+      ASSERT_EQ(parity[p][kParityReelHeaderBytes + j], cw[n + p])
+          << "parity reel " << p << " offset " << j;
+    }
   }
 }
 

@@ -458,6 +458,92 @@ TEST_P(RsSinglePosition, AnySinglePositionCorrectable) {
 INSTANTIATE_TEST_SUITE_P(AllPositions, RsSinglePosition,
                          ::testing::Range(0, 20));
 
+// ---------- Bulk erasure weights ----------
+
+// XOR_s w[s] * word[s]: the byte one weight row rebuilds.
+uint8_t Apply(const Bytes& w, const Bytes& word) {
+  uint8_t acc = 0;
+  for (size_t s = 0; s < word.size(); ++s) acc ^= Gf256::Mul(w[s], word[s]);
+  return acc;
+}
+
+class RsErasureWeights
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// missing = the parity positions is the encoder.
+TEST_P(RsErasureWeights, ParityPositionsEncode) {
+  const auto [n, k] = GetParam();
+  Codec codec(n, k);
+  std::vector<int> parity;
+  for (int p = k; p < n; ++p) parity.push_back(p);
+  auto w = codec.ErasureWeights(parity);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ASSERT_EQ(w.value().size(), parity.size());
+  Rng rng(static_cast<uint64_t>(n * 1000 + k));
+  for (int trial = 0; trial < 20; ++trial) {
+    const Bytes cw = codec.Encode(RandomPayload(&rng, k)).TakeValue();
+    for (size_t m = 0; m < parity.size(); ++m) {
+      ASSERT_EQ(w.value()[m].size(), static_cast<size_t>(n));
+      EXPECT_EQ(Apply(w.value()[m], cw), cw[static_cast<size_t>(k) + m])
+          << "RS(" << n << "," << k << ") parity " << m;
+    }
+  }
+}
+
+// Any pattern of up to parity() erasures is rebuilt from the other bytes
+// alone: the weights at the missing positions are zero.
+TEST_P(RsErasureWeights, RebuildsRandomErasurePatterns) {
+  const auto [n, k] = GetParam();
+  Codec codec(n, k);
+  Rng rng(static_cast<uint64_t>(n * 7 + k));
+  for (int trial = 0; trial < 50; ++trial) {
+    const Bytes cw = codec.Encode(RandomPayload(&rng, k)).TakeValue();
+    const int rho = static_cast<int>(
+        rng.Below(static_cast<uint64_t>(codec.parity()) + 1));
+    std::set<int> picked;
+    while (static_cast<int>(picked.size()) < rho) {
+      picked.insert(static_cast<int>(rng.Below(static_cast<uint64_t>(n))));
+    }
+    std::vector<int> missing(picked.begin(), picked.end());
+    for (size_t i = missing.size(); i > 1; --i) {  // any order works
+      std::swap(missing[i - 1], missing[rng.Below(i)]);
+    }
+    auto w = codec.ErasureWeights(missing);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    ASSERT_EQ(w.value().size(), missing.size());
+    for (size_t m = 0; m < missing.size(); ++m) {
+      for (int pos : missing) {
+        EXPECT_EQ(w.value()[m][static_cast<size_t>(pos)], 0);
+      }
+      EXPECT_EQ(Apply(w.value()[m], cw), cw[static_cast<size_t>(missing[m])])
+          << "RS(" << n << "," << k << ") trial " << trial;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codes, RsErasureWeights,
+    ::testing::Values(std::make_tuple(20, 17), std::make_tuple(7, 5),
+                      std::make_tuple(12, 4), std::make_tuple(5, 3),
+                      std::make_tuple(255, 223)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& i) {
+      return "rs" + std::to_string(std::get<0>(i.param)) + "_" +
+             std::to_string(std::get<1>(i.param));
+    });
+
+TEST(RsErasureWeightsTest, RejectsBadPositionLists) {
+  Codec codec(20, 17);
+  EXPECT_TRUE(codec.ErasureWeights({}).ok());
+  EXPECT_EQ(codec.ErasureWeights({0, 1, 2, 3}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(codec.ErasureWeights({4, 4}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(codec.ErasureWeights({20}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(codec.ErasureWeights({-1}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace rs
 }  // namespace ule

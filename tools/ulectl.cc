@@ -95,8 +95,8 @@ int Usage(const char* argv0) {
       "                     not archivable until DBDecode decodes it)\n"
       "  --data-side N      emblem data-area side (default 128)\n"
       "  --dots-per-cell N  render pitch (default 4)\n"
-      "  --no-index         skip the ULE-S1 record index (selective\n"
-      "                     restore then needs a derived index)\n"
+      "  --no-index         skip the ULE-S1 record index (restore\n"
+      "                     --table is then unavailable on the archive)\n"
       "\n"
       "restore options:\n"
       "  --emulated         full ULE path: only the reel's Bootstrap\n"
@@ -465,9 +465,15 @@ int RunRestoreSelective(const Args& args) {
   pred.row_count = args.row_count;
   core::SelectiveOptions options;
   options.threads = args.threads;
+  auto restorer = core::SelectiveRestorer::Open(*reel.value(), options);
+  if (!restorer.ok() && restorer.status().code() == StatusCode::kNotFound) {
+    return Fail(Status::NotFound(
+        "no ULE-S1 record index on this reel (archived with --no-index), so "
+        "--table is unavailable; restore the whole dump without --table"));
+  }
+  if (!restorer.ok()) return Fail(restorer.status());
   core::SelectiveStats stats;
-  auto restored =
-      core::RestoreSelective(*reel.value(), pred, options, &stats);
+  auto restored = restorer.value().Restore(pred, &stats);
   if (!restored.ok()) return Fail(restored.status());
   Status s = WriteFileText(args.out, restored.value());
   if (!s.ok()) return Fail(s);

@@ -103,6 +103,18 @@ def smoke_single(ulectl, td):
     if not filecmp.cmp(dump, restored2, shallow=False):
         sys.exit("directory round trip: restored dump differs")
 
+    # Without a record index there is no selective path: restore --table
+    # says why and what to do instead, and writes nothing.
+    unindexed = os.path.join(td, "unindexed.ulec")
+    run([ulectl, "archive", "--in", dump, "--out", unindexed, "--no-index",
+         "--threads", "2"])
+    orders = os.path.join(td, "unindexed_orders.sql")
+    run_expect_failure([ulectl, "restore", "--in", unindexed, "--table",
+                        "orders", "--out", orders],
+                       ["--no-index", "restore the whole dump"])
+    if os.path.exists(orders):
+        sys.exit("refused table restore still created its output")
+
     # Interrupted spool: strip the index + footer (what a writer that
     # died before Finish leaves behind), recover it with `resume`, and
     # the resealed reel must verify and restore byte-identically.
