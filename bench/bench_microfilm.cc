@@ -75,9 +75,10 @@ Result<std::vector<media::Image>> ScanStream(
   filmstore::ScannerSource source(store.OpenFrames(id), options);
   std::vector<media::Image> scans;
   while (true) {
-    ULE_ASSIGN_OR_RETURN(std::optional<media::Image> scan, source.Next());
+    ULE_ASSIGN_OR_RETURN(std::optional<media::PackedFrame> scan,
+                         source.Next());
     if (!scan.has_value()) return scans;
-    scans.push_back(std::move(*scan));
+    scans.push_back(scan->TakeImage());
   }
 }
 
@@ -127,6 +128,10 @@ RunResult RunOn(const media::MediaProfile& profile, const std::string& payload,
 struct ShardedResult {
   bool exact = false;
   double write_s = 0;
+  /// "reel-set read": open + native restore. The reel sources' own read
+  /// (the calling thread's part) excludes the unpack: it reads, CRCs and
+  /// header-checks each PBM record, and the decode workers expand them,
+  /// in parallel, within the restore.
   double read_s = 0;
   size_t frames = 0;  ///< data + system frames archived
   size_t reels = 0;

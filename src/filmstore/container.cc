@@ -109,18 +109,46 @@ std::string RecordContext(size_t index, const ContainerEntry& entry) {
          std::to_string(entry.offset) + ")";
 }
 
-/// Reads, CRC-validates and decodes one frame record from an open stream;
-/// a failed read or CRC names the record by sequence number and offset.
-Result<media::Image> ReadFrameFrom(std::ifstream& in, const std::string& path,
-                                   const ContainerEntry& entry) {
-  auto payload = ReadPayloadFrom(in, path, entry);
-  if (!payload.ok()) {
-    return Status(payload.status().code(),
-                  "frame seq " + std::to_string(entry.seq) +
-                      " (payload offset " + std::to_string(entry.offset) +
-                      "): " + payload.status().message());
+/// The netpbm format of a frame codec.
+Result<media::NetpbmFormat> FormatOf(FrameCodec codec) {
+  switch (codec) {
+    case FrameCodec::kPgm:
+      return media::NetpbmFormat::kPgm;
+    case FrameCodec::kPbm:
+      return media::NetpbmFormat::kPbm;
   }
-  return DecodeFramePayload(entry.codec, payload.value());
+  return Status::Corruption("unknown frame codec " +
+                            std::to_string(static_cast<int>(codec)));
+}
+
+/// Checks one frame payload without expanding it: the codec, then every
+/// header, geometry and length check of the codec's parser.
+Status CheckFramePayload(FrameCodec codec, BytesView payload) {
+  ULE_ASSIGN_OR_RETURN(media::NetpbmFormat format, FormatOf(codec));
+  return media::ParseNetpbm(payload, format).status();
+}
+
+/// Prefixes a frame record's error with its sequence number and offset.
+Status FrameError(const ContainerEntry& entry, const Status& status) {
+  return Status(status.code(), "frame seq " + std::to_string(entry.seq) +
+                                   " (payload offset " +
+                                   std::to_string(entry.offset) +
+                                   "): " + status.message());
+}
+
+/// Reads, CRC-validates and header-checks one frame record from an open
+/// stream, keeping its pixels packed; a failed read, CRC or check names
+/// the record by sequence number and offset.
+Result<media::PackedFrame> ReadFrameFrom(std::ifstream& in,
+                                         const std::string& path,
+                                         const ContainerEntry& entry) {
+  auto frame = [&]() -> Result<media::PackedFrame> {
+    ULE_ASSIGN_OR_RETURN(Bytes payload, ReadPayloadFrom(in, path, entry));
+    ULE_ASSIGN_OR_RETURN(media::NetpbmFormat format, FormatOf(entry.codec));
+    return media::PackedFrame::Parse(std::move(payload), format);
+  }();
+  if (!frame.ok()) return FrameError(entry, frame.status());
+  return frame;
 }
 
 /// FrameSource over a subset of a sealed container's records. Owns its
@@ -134,16 +162,17 @@ class ContainerSource final : public FrameSource {
         entries_(std::move(entries)),
         counters_(std::move(counters)) {}
 
-  Result<std::optional<media::Image>> Next() override {
-    if (next_ >= entries_.size()) return std::optional<media::Image>();
+  Result<std::optional<media::PackedFrame>> Next() override {
+    if (next_ >= entries_.size()) return std::optional<media::PackedFrame>();
     if (!in_.is_open()) {
       in_.open(path_, std::ios::binary);
       if (!in_) return Status::IoError("cannot open " + path_);
     }
     const ContainerEntry& e = entries_[next_++];
-    ULE_ASSIGN_OR_RETURN(media::Image frame, ReadFrameFrom(in_, path_, e));
+    ULE_ASSIGN_OR_RETURN(media::PackedFrame frame,
+                         ReadFrameFrom(in_, path_, e));
     if (counters_) counters_->Count(e.payload_len);
-    return std::optional<media::Image>(std::move(frame));
+    return std::optional<media::PackedFrame>(std::move(frame));
   }
 
  private:
@@ -157,14 +186,9 @@ class ContainerSource final : public FrameSource {
 }  // namespace
 
 Result<media::Image> DecodeFramePayload(FrameCodec codec, BytesView payload) {
-  switch (codec) {
-    case FrameCodec::kPgm:
-      return media::Image::FromPgm(payload);
-    case FrameCodec::kPbm:
-      return media::Image::FromPbm(payload);
-  }
-  return Status::Corruption("unknown frame codec " +
-                            std::to_string(static_cast<int>(codec)));
+  ULE_ASSIGN_OR_RETURN(media::NetpbmFormat format, FormatOf(codec));
+  return format == media::NetpbmFormat::kPbm ? media::Image::FromPbm(payload)
+                                             : media::Image::FromPgm(payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,9 +544,12 @@ Result<media::Image> ContainerReader::ReadFrame(mocoder::StreamId id,
         std::to_string(records.size()) + " frames): " + path_);
   }
   const ContainerEntry& e = entries_[records[index]];
-  ULE_ASSIGN_OR_RETURN(Bytes payload, ReadPayloadUnchecked(e));
+  auto payload = ReadPayloadUnchecked(e);
+  if (!payload.ok()) return FrameError(e, payload.status());
   counters_->Count(e.payload_len);
-  return DecodeFramePayload(e.codec, payload);
+  auto frame = DecodeFramePayload(e.codec, payload.value());
+  if (!frame.ok()) return FrameError(e, frame.status());
+  return frame;
 }
 
 Status ContainerReader::Verify() const {
@@ -537,11 +564,11 @@ Status ContainerReader::Verify() const {
     }
     if (e.type == RecordType::kDataFrame ||
         e.type == RecordType::kSystemFrame) {
-      auto frame = DecodeFramePayload(e.codec, payload.value());
+      const Status frame = CheckFramePayload(e.codec, payload.value());
       if (!frame.ok()) {
-        return Status(frame.status().code(),
-                      RecordContext(i, e) + " does not decode: " +
-                          frame.status().message());
+        return Status(frame.code(), RecordContext(i, e) +
+                                        " does not decode: " +
+                                        frame.message());
       }
     }
   }

@@ -38,21 +38,24 @@ bool IsFrameFileName(const std::string& name) {
   return ext == ".pgm" || ext == ".pbm";
 }
 
-/// Loads frame files one at a time until the per-stream count recorded in
-/// the manifest is exhausted.
-/// Loads one frame file; counts its on-disk bytes into `counters` (the
-/// directory backend's "payload" is the frame file itself).
-Result<media::Image> LoadFrameFile(const std::string& path, bool bitonal,
-                                   ReadCounterCell* counters) {
-  auto frame =
-      bitonal ? media::Image::LoadPbm(path) : media::Image::LoadPgm(path);
-  if (!frame.ok()) return frame.status();
-  if (counters != nullptr) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    counters->Count(ec ? 0 : static_cast<uint64_t>(size));
+/// Reads one frame file and checks its netpbm header, keeping the pixels
+/// packed; counts its on-disk bytes into `counters` (the directory
+/// backend's "payload" is the frame file itself). A file that does not
+/// parse is named in the error.
+Result<media::PackedFrame> LoadFrameFile(const std::string& path,
+                                         bool bitonal,
+                                         ReadCounterCell* counters) {
+  ULE_ASSIGN_OR_RETURN(Bytes bytes, ReadFileBytes(path));
+  const uint64_t size = bytes.size();
+  auto frame = media::PackedFrame::Parse(
+      std::move(bytes),
+      bitonal ? media::NetpbmFormat::kPbm : media::NetpbmFormat::kPgm);
+  if (!frame.ok()) {
+    return Status(frame.status().code(),
+                  path + ": " + frame.status().message());
   }
-  return std::move(frame).TakeValue();
+  if (counters != nullptr) counters->Count(size);
+  return frame;
 }
 
 class DirectorySource final : public FrameSource {
@@ -65,13 +68,15 @@ class DirectorySource final : public FrameSource {
         bitonal_(bitonal),
         counters_(std::move(counters)) {}
 
-  Result<std::optional<media::Image>> Next() override {
-    if (next_ >= count_) return std::optional<media::Image>();
+  /// Loads frame files one at a time until the per-stream count recorded
+  /// in the manifest is exhausted.
+  Result<std::optional<media::PackedFrame>> Next() override {
+    if (next_ >= count_) return std::optional<media::PackedFrame>();
     const std::string path =
         JoinPath(dir_, FrameFileName(id_, next_++, bitonal_));
-    ULE_ASSIGN_OR_RETURN(media::Image frame,
+    ULE_ASSIGN_OR_RETURN(media::PackedFrame frame,
                          LoadFrameFile(path, bitonal_, counters_.get()));
-    return std::optional<media::Image>(std::move(frame));
+    return std::optional<media::PackedFrame>(std::move(frame));
   }
 
  private:
@@ -277,8 +282,11 @@ Result<media::Image> DirectoryReader::ReadFrame(mocoder::StreamId id,
         "frame " + std::to_string(index) + " out of range (stream has " +
         std::to_string(frame_count(id)) + " frames): " + dir_);
   }
-  return LoadFrameFile(JoinPath(dir_, FrameFileName(id, index, bitonal_)),
-                       bitonal_, counters_.get());
+  ULE_ASSIGN_OR_RETURN(
+      media::PackedFrame frame,
+      LoadFrameFile(JoinPath(dir_, FrameFileName(id, index, bitonal_)),
+                    bitonal_, counters_.get()));
+  return frame.TakeImage();
 }
 
 Result<Bytes> DirectoryReader::ReadIndexSection() const {

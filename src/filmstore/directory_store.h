@@ -94,8 +94,8 @@ class DirectoryReader final : public ReelReader {
   }
   bool has_bootstrap() const override;
   Result<std::string> ReadBootstrap() const override;
-  /// Pull source over one stream's frame files, loading one image per
-  /// Next() call.
+  /// Pull source over one stream's frame files, reading and
+  /// header-checking one file per Next() call (pixels stay packed).
   std::unique_ptr<FrameSource> OpenFrames(
       mocoder::StreamId id) const override;
   /// Loads the frame file at per-stream position `index`.
@@ -105,8 +105,8 @@ class DirectoryReader final : public ReelReader {
   /// without one.
   Result<Bytes> ReadIndexSection() const override;
   ReadCounters read_counters() const override { return counters_->Snapshot(); }
-  /// Loads every frame file once (parse check — directory reels carry no
-  /// checksums).
+  /// Reads every frame file once and checks that it parses, without
+  /// expanding its pixels (directory reels carry no checksums).
   Status Verify() const override;
 
  private:

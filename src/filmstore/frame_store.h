@@ -97,11 +97,21 @@ class ArchiveWriter : public FrameSink {
 /// the next frame, nullopt when the reel is exhausted, or an error Status
 /// when the backing store is unreadable (I/O failure, corrupt record).
 /// Called serially from the restoring thread.
+///
+/// `Next` returns a `media::PackedFrame`, not pixels. In-memory sources
+/// (`VectorSource`, `MemoryStore`, `ScannerSource`, `FunctionSource`) wrap
+/// the images they already hold. The on-disk ones (container, directory,
+/// and reel sets through them) read the record, check its CRC where the
+/// backend has one, and check its netpbm header, geometry and length with
+/// `media::ParseNetpbm`, so every corrupt record fails right here, at its
+/// own pull. They hand on the record still packed: the decode worker that
+/// samples the frame expands it (`mocoder::DecodeStream`), into a buffer
+/// that worker reuses. Callers that want an image call `TakeImage`.
 class FrameSource {
  public:
   virtual ~FrameSource() = default;
 
-  virtual Result<std::optional<media::Image>> Next() = 0;
+  virtual Result<std::optional<media::PackedFrame>> Next() = 0;
 };
 
 /// Adapts a callback to FrameSink.
@@ -124,13 +134,17 @@ class FunctionSink final : public FrameSink {
 /// \brief Adapts a pull callback to FrameSource. The callback carries the
 /// full FrameSource contract — a frame, end-of-reel, or an error Status —
 /// so a backing-store read failure aborts the restore instead of
-/// masquerading as a short reel.
+/// masquerading as a short reel. Its frames are wrapped as ready pixels.
 class FunctionSource final : public FrameSource {
  public:
   using Fn = std::function<Result<std::optional<media::Image>>()>;
   explicit FunctionSource(Fn fn) : fn_(std::move(fn)) {}
 
-  Result<std::optional<media::Image>> Next() override { return fn_(); }
+  Result<std::optional<media::PackedFrame>> Next() override {
+    ULE_ASSIGN_OR_RETURN(std::optional<media::Image> frame, fn_());
+    if (!frame.has_value()) return std::optional<media::PackedFrame>();
+    return std::optional<media::PackedFrame>(std::move(*frame));
+  }
 
  private:
   Fn fn_;
@@ -143,9 +157,9 @@ class VectorSource final : public FrameSource {
   explicit VectorSource(const std::vector<media::Image>& frames)
       : frames_(&frames) {}
 
-  Result<std::optional<media::Image>> Next() override {
-    if (next_ >= frames_->size()) return std::optional<media::Image>();
-    return std::optional<media::Image>((*frames_)[next_++]);
+  Result<std::optional<media::PackedFrame>> Next() override {
+    if (next_ >= frames_->size()) return std::optional<media::PackedFrame>();
+    return std::optional<media::PackedFrame>((*frames_)[next_++]);
   }
 
  private:

@@ -78,14 +78,14 @@ class ReelChainSource final : public FrameSource {
   explicit ReelChainSource(std::vector<std::unique_ptr<FrameSource>> reels)
       : reels_(std::move(reels)) {}
 
-  Result<std::optional<media::Image>> Next() override {
+  Result<std::optional<media::PackedFrame>> Next() override {
     while (next_ < reels_.size()) {
-      ULE_ASSIGN_OR_RETURN(std::optional<media::Image> frame,
+      ULE_ASSIGN_OR_RETURN(std::optional<media::PackedFrame> frame,
                            reels_[next_]->Next());
       if (frame.has_value()) return frame;
       reels_[next_++].reset();  // drained: close its file
     }
-    return std::optional<media::Image>();
+    return std::optional<media::PackedFrame>();
   }
 
  private:

@@ -13,7 +13,8 @@
 /// Damage placement is deterministic *per frame index*: frame i is
 /// scanned with `profile.seed + i`, so the same archive produces the
 /// same scans no matter how it was sharded across reels or how many
-/// threads pulled it.
+/// threads pulled it. The print/scan model runs on the pulling thread;
+/// the scans it yields are ready pixels.
 
 #ifndef ULE_FILMSTORE_SCANNER_SOURCE_H_
 #define ULE_FILMSTORE_SCANNER_SOURCE_H_
@@ -40,7 +41,7 @@ class ScannerSource final : public FrameSource {
   ScannerSource(std::unique_ptr<FrameSource> inner, const Options& options)
       : inner_(std::move(inner)), options_(options) {}
 
-  Result<std::optional<media::Image>> Next() override;
+  Result<std::optional<media::PackedFrame>> Next() override;
 
  private:
   std::unique_ptr<FrameSource> inner_;

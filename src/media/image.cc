@@ -112,20 +112,82 @@ Result<size_t> ParseNetpbmHeader(BytesView data, const char* magic, int* w,
   return pos;
 }
 
+size_t PbmRowBytes(int width) { return (static_cast<size_t>(width) + 7) / 8; }
+
 }  // namespace
 
-Result<Image> Image::FromPgm(BytesView data) {
-  int w, h, maxval = 255;
-  ULE_ASSIGN_OR_RETURN(size_t pos,
-                       ParseNetpbmHeader(data, "P5", &w, &h, &maxval, true));
-  if (w <= 0 || h <= 0 || maxval != 255) {
-    return Status::Corruption("unsupported PGM geometry");
+Result<NetpbmLayout> ParseNetpbm(BytesView data, NetpbmFormat format) {
+  NetpbmLayout layout;
+  layout.format = format;
+  int* w = &layout.width;
+  int* h = &layout.height;
+  if (format == NetpbmFormat::kPgm) {
+    int maxval = 255;
+    ULE_ASSIGN_OR_RETURN(layout.pixel_offset,
+                         ParseNetpbmHeader(data, "P5", w, h, &maxval, true));
+    if (*w <= 0 || *h <= 0 || maxval != 255) {
+      return Status::Corruption("unsupported PGM geometry");
+    }
+    if (data.size() - layout.pixel_offset < static_cast<size_t>(*w) * *h) {
+      return Status::Corruption("truncated PGM");
+    }
+    return layout;
   }
-  const size_t need = static_cast<size_t>(w) * h;
-  if (data.size() - pos < need) return Status::Corruption("truncated PGM");
-  Image img(w, h);
-  std::copy(data.begin() + pos, data.begin() + pos + need,
-            img.pixels_.begin());
+  int unused = 0;
+  ULE_ASSIGN_OR_RETURN(layout.pixel_offset,
+                       ParseNetpbmHeader(data, "P4", w, h, &unused, false));
+  if (*w <= 0 || *h <= 0) return Status::Corruption("bad PBM geometry");
+  if (data.size() - layout.pixel_offset < PbmRowBytes(*w) * *h) {
+    return Status::Corruption("truncated PBM");
+  }
+  return layout;
+}
+
+void ExpandNetpbm(BytesView data, const NetpbmLayout& layout, Image* out) {
+  const int w = layout.width;
+  const int h = layout.height;
+  out->width_ = w;
+  out->height_ = h;
+  // resize() keeps the buffer and fills only what it grows by; every
+  // pixel is written below.
+  out->pixels_.resize(static_cast<size_t>(w) * h);
+  const uint8_t* pixels = data.data() + layout.pixel_offset;
+  if (layout.format == NetpbmFormat::kPgm) {
+    std::memcpy(out->pixels_.data(), pixels, out->pixels_.size());
+    return;
+  }
+  // One table lookup per input byte: its eight pixels, most significant bit
+  // first, 1 = black. A row's last byte contributes only its leading w % 8
+  // pixels; the padding bits after them are ignored, whatever they hold.
+  static const std::array<std::array<uint8_t, 8>, 256> kExpand = [] {
+    std::array<std::array<uint8_t, 8>, 256> table{};
+    for (int byte = 0; byte < 256; ++byte) {
+      for (int i = 0; i < 8; ++i) {
+        table[byte][i] = ((byte >> (7 - i)) & 1) ? 0 : 255;
+      }
+    }
+    return table;
+  }();
+  const size_t row_bytes = PbmRowBytes(w);
+  const int full_bytes = w / 8;
+  const int tail_pixels = w % 8;
+  for (int y = 0; y < h; ++y) {
+    const uint8_t* src = pixels + static_cast<size_t>(y) * row_bytes;
+    uint8_t* dst = out->pixels_.data() + static_cast<size_t>(y) * w;
+    for (int b = 0; b < full_bytes; ++b, dst += 8) {
+      std::memcpy(dst, kExpand[src[b]].data(), 8);
+    }
+    if (tail_pixels > 0) {
+      std::memcpy(dst, kExpand[src[full_bytes]].data(), tail_pixels);
+    }
+  }
+}
+
+Result<Image> Image::FromPgm(BytesView data) {
+  ULE_ASSIGN_OR_RETURN(NetpbmLayout layout,
+                       ParseNetpbm(data, NetpbmFormat::kPgm));
+  Image img;
+  ExpandNetpbm(data, layout, &img);
   return img;
 }
 
@@ -149,38 +211,10 @@ Bytes Image::ToPbm() const {
 }
 
 Result<Image> Image::FromPbm(BytesView data) {
-  int w, h, unused = 0;
-  ULE_ASSIGN_OR_RETURN(size_t pos,
-                       ParseNetpbmHeader(data, "P4", &w, &h, &unused, false));
-  if (w <= 0 || h <= 0) return Status::Corruption("bad PBM geometry");
-  const size_t row_bytes = (static_cast<size_t>(w) + 7) / 8;
-  const size_t need = row_bytes * h;
-  if (data.size() - pos < need) return Status::Corruption("truncated PBM");
-  // One table lookup per input byte: its eight pixels, most significant bit
-  // first, 1 = black. A row's last byte contributes only its leading w % 8
-  // pixels; the padding bits after them are ignored, whatever they hold.
-  static const std::array<std::array<uint8_t, 8>, 256> kExpand = [] {
-    std::array<std::array<uint8_t, 8>, 256> table{};
-    for (int byte = 0; byte < 256; ++byte) {
-      for (int i = 0; i < 8; ++i) {
-        table[byte][i] = ((byte >> (7 - i)) & 1) ? 0 : 255;
-      }
-    }
-    return table;
-  }();
-  Image img(w, h);
-  const int full_bytes = w / 8;
-  const int tail_pixels = w % 8;
-  for (int y = 0; y < h; ++y) {
-    const uint8_t* src = data.data() + pos + static_cast<size_t>(y) * row_bytes;
-    uint8_t* dst = img.pixels_.data() + static_cast<size_t>(y) * w;
-    for (int b = 0; b < full_bytes; ++b, dst += 8) {
-      std::memcpy(dst, kExpand[src[b]].data(), 8);
-    }
-    if (tail_pixels > 0) {
-      std::memcpy(dst, kExpand[src[full_bytes]].data(), tail_pixels);
-    }
-  }
+  ULE_ASSIGN_OR_RETURN(NetpbmLayout layout,
+                       ParseNetpbm(data, NetpbmFormat::kPbm));
+  Image img;
+  ExpandNetpbm(data, layout, &img);
   return img;
 }
 
@@ -188,18 +222,33 @@ Status Image::SavePgm(const std::string& path) const {
   return WriteFileBytes(path, ToPgm());
 }
 
-Result<Image> Image::LoadPgm(const std::string& path) {
-  ULE_ASSIGN_OR_RETURN(Bytes data, ReadFileBytes(path));
-  return FromPgm(data);
-}
-
 Status Image::SavePbm(const std::string& path) const {
   return WriteFileBytes(path, ToPbm());
 }
 
-Result<Image> Image::LoadPbm(const std::string& path) {
-  ULE_ASSIGN_OR_RETURN(Bytes data, ReadFileBytes(path));
-  return FromPbm(data);
+Result<PackedFrame> PackedFrame::Parse(Bytes record, NetpbmFormat format) {
+  ULE_ASSIGN_OR_RETURN(NetpbmLayout layout, ParseNetpbm(record, format));
+  PackedFrame frame;
+  frame.record_ = std::move(record);
+  frame.layout_ = layout;
+  return frame;
+}
+
+const Image& PackedFrame::Unpack(Image* scratch) const {
+  if (!layout_) return image_;
+  ExpandNetpbm(record_, *layout_, scratch);
+  return *scratch;
+}
+
+Image PackedFrame::TakeImage() {
+  Image out;
+  if (layout_) {
+    ExpandNetpbm(record_, *layout_, &out);
+  } else {
+    out = std::move(image_);
+  }
+  *this = PackedFrame();
+  return out;
 }
 
 }  // namespace media

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "support/crc32.h"
 #include "support/parallel.h"
@@ -190,7 +191,7 @@ struct Record {
 /// One pulled scan waiting in the channel.
 struct Item {
   Record* rec = nullptr;
-  media::Image scan;
+  media::PackedFrame scan;
 };
 
 }  // namespace
@@ -206,12 +207,17 @@ Result<Bytes> DecodeStream(const FramePull& next, StreamId id,
   // write through plain pointers while the reader grows it.
   std::deque<Record> records;
   BoundedChannel<Item> channel(static_cast<size_t>(2 * workers));
+  // One raster per ParallelFor index: every packed scan an index decodes
+  // (the reader's own, too) is expanded into it, reusing its buffer.
+  std::vector<media::Image> scratch(static_cast<size_t>(workers));
 
-  // Samples and decodes one scan into its record. Never throws: the record
-  // keeps the exception for after the join, so every decoder keeps going.
-  auto process = [&](Item& item) {
+  // Expands, samples and decodes one scan into its record. Never throws:
+  // the record keeps the exception for after the join, so every decoder
+  // keeps going.
+  auto process = [&](Item& item, media::Image& raster) {
     try {
-      auto cells = SampleEmblem(item.scan, options.data_side);
+      const media::Image& scan = item.scan.Unpack(&raster);
+      auto cells = SampleEmblem(scan, options.data_side);
       if (!cells.ok()) return;  // rec->sampled stays false
       item.rec->sampled = true;
       GridDecodeResult r = decode(cells.value());
@@ -224,7 +230,7 @@ Result<Bytes> DecodeStream(const FramePull& next, StreamId id,
       item.rec->thrown = std::current_exception();
     }
   };
-  auto read = [&]() -> Status {
+  auto read = [&](media::Image& raster) -> Status {
     // Closed on every exit path, a throwing pull included, or decoders
     // blocked in Pop would wait forever.
     struct Closer {
@@ -232,7 +238,7 @@ Result<Bytes> DecodeStream(const FramePull& next, StreamId id,
       ~Closer() { channel.Close(); }
     } closer{channel};
     for (;;) {
-      ULE_ASSIGN_OR_RETURN(std::optional<media::Image> scan, next());
+      ULE_ASSIGN_OR_RETURN(std::optional<media::PackedFrame> scan, next());
       if (!scan.has_value()) return Status::OK();
       Item item{&records.emplace_back(), std::move(*scan)};
       // Backpressure without blocking: when the channel is full the
@@ -240,7 +246,7 @@ Result<Bytes> DecodeStream(const FramePull& next, StreamId id,
       // workers that may never come (nested fan-out), so a saturated
       // pool degrades to the serial loop.
       while (!channel.TryPush(item)) {
-        if (auto queued = channel.TryPop()) process(*queued);
+        if (auto queued = channel.TryPop()) process(*queued, raster);
       }
     }
   };
@@ -253,12 +259,13 @@ Result<Bytes> DecodeStream(const FramePull& next, StreamId id,
   bool caller_read = false;  // touched by the calling thread only
   ULE_RETURN_IF_ERROR(ParallelFor(
       0, static_cast<size_t>(workers),
-      [&](size_t) -> Status {
+      [&](size_t index) -> Status {
+        media::Image& raster = scratch[index];
         if (std::this_thread::get_id() == caller &&
             !std::exchange(caller_read, true)) {
-          ULE_RETURN_IF_ERROR(read());
+          ULE_RETURN_IF_ERROR(read(raster));
         }
-        while (auto item = channel.Pop()) process(*item);
+        while (auto item = channel.Pop()) process(*item, raster);
         return Status::OK();
       },
       workers));

@@ -11,7 +11,7 @@
 /// frames is O(threads × emblem): `EncodeToSink` hands emblems to a sink
 /// in sequence order (whichever worker finds the next emblem ready feeds
 /// the sink), and `DecodeStream` pulls scans from a reel, a scanner or a
-/// frame generator (the calling thread is the reader).
+/// frame generator (the calling thread is the reader; workers expand).
 /// `core::ArchiveDumpStreaming` and both `core` restores are built on
 /// them. The on-film format is specified in docs/FORMAT.md.
 
@@ -104,22 +104,28 @@ struct GridDecodeResult {
 /// under nested emulation.
 using GridDecodeFn = std::function<GridDecodeResult(BytesView grid)>;
 
-/// \brief Pulls the next scan of a stream: a scan, std::nullopt at the
-/// end of the reel, or an error Status (the shape of
-/// filmstore::FrameSource::Next).
-using FramePull = std::function<Result<std::optional<media::Image>>()>;
+/// \brief Pulls the next scan of a stream: a scan (ready pixels, or a
+/// checked netpbm record still packed), std::nullopt at the end of the
+/// reel, or an error Status (the shape of filmstore::FrameSource::Next).
+using FramePull =
+    std::function<Result<std::optional<media::PackedFrame>>()>;
 
 /// \brief Decodes one emblem stream from scans pulled one at a time.
 ///
 /// One ParallelFor on the shared pool: the calling thread pulls scans in
 /// order into a bounded channel (2 × threads scans), decoding a queued
 /// scan itself while the channel is full, and every worker (the caller
-/// too, once the reel ends) samples and inner-decodes scans off it. Peak
-/// image/grid memory is O(threads × emblem); only the small per-emblem
-/// records accumulate. The outer-code merge runs serially in pull order,
-/// so output and DecodeStats are byte-identical at any thread count.
-/// Tolerates missing/destroyed emblems up to the outer code's budget (3
-/// per group of 20).
+/// too, once the reel ends) expands, samples and inner-decodes scans off
+/// it. The reader only pulls: a packed scan is expanded by the index that
+/// decodes it, into a raster that index owns for the call and reuses for
+/// every scan it decodes. Peak memory: `workers` expanded rasters, plus
+/// at most 2 × `workers` scans in the channel and one in hand per worker
+/// (packed records when the source yields them — a reel does — else
+/// rasters), plus the small per-emblem records that accumulate. The
+/// outer-code merge runs serially in pull order, so output and
+/// DecodeStats are byte-identical at any thread count. Tolerates
+/// missing/destroyed emblems up to the outer code's budget (3 per group
+/// of 20).
 ///
 /// `next` runs on the calling thread until it returns nullopt or an
 /// error. `decode` replaces the native inner

@@ -19,7 +19,9 @@
 #include "filmstore/directory_store.h"
 #include "filmstore/frame_store.h"
 #include "filmstore/reel_reader.h"
+#include "filmstore/scrub.h"
 #include "mocoder/mocoder.h"
+#include "support/crc32.h"
 #include "support/io.h"
 #include "support/random.h"
 #include "tests/golden.h"
@@ -66,7 +68,7 @@ std::vector<media::Image> Drain(FrameSource& source) {
     auto next = source.Next();
     EXPECT_TRUE(next.ok()) << next.status().ToString();
     if (!next.ok() || !next.value().has_value()) break;
-    frames.push_back(std::move(*next.value()));
+    frames.push_back(next.value()->TakeImage());
   }
   return frames;
 }
@@ -678,7 +680,7 @@ TEST(ContainerTest, SeekReadsInterleaveWithStreaming) {
       auto next = source->Next();
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       ASSERT_TRUE(next.value().has_value());
-      streamed.push_back(std::move(*next.value()));
+      streamed.push_back(next.value()->TakeImage());
     }
     // Seek all over the reel (both streams) mid-drain.
     auto last = seek->ReadFrame(mocoder::StreamId::kData,
@@ -764,6 +766,230 @@ TEST(ReelReaderTest, OpenReelPicksTheBackendFromThePath) {
     ExpectSameFrames(Drain(*source), data.frames);
     EXPECT_TRUE(r.Verify().ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Packed frames: reel sources hand DecodeStream checked records, and its
+// workers expand them
+
+std::string SmallDump() {
+  std::string dump;
+  for (int i = 0; i < 40; ++i) {
+    dump += "INSERT INTO lineitem VALUES (" + std::to_string(i * 37) +
+            ", 'part-" + std::to_string(i) + "', 'supplier-" +
+            std::to_string(i % 7) + "', 4.25, 'archival layout emulation');\n";
+  }
+  return dump;
+}
+
+uint64_t GetLe(const Bytes& b, size_t at, int n) {
+  uint64_t v = 0;
+  for (int i = 0; i < n; ++i) v |= static_cast<uint64_t>(b[at + i]) << (8 * i);
+  return v;
+}
+
+void PutLe32(Bytes& b, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) b[at + i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/// Raises the first width digit of a netpbm frame to '9' (same digit
+/// count, so no byte moves): the header still parses, but the pixel bytes
+/// no longer cover the image, so only the image decode can fail.
+void ForgeWidth(Bytes& frame, size_t at) {
+  ASSERT_EQ(frame[at], 'P');
+  ASSERT_TRUE(frame[at + 3] >= '1' && frame[at + 3] <= '8');
+  frame[at + 3] = '9';
+}
+
+/// Forges the width of the `k`-th data-frame record of a sealed ULE-C1
+/// container and re-seals the record and index CRCs, so the record reads
+/// and checksums clean. Returns the record's sequence slot.
+uint16_t ForgeDataRecordWidth(const std::string& path, size_t k) {
+  auto read = ReadFileBytes(path);
+  EXPECT_TRUE(read.ok());
+  Bytes bytes = std::move(read).TakeValue();
+  const size_t footer = bytes.size() - kContainerFooterBytes;
+  const size_t index = GetLe(bytes, footer, 8);
+  const size_t count = GetLe(bytes, footer + 8, 4);
+  uint16_t seq = 0;
+  size_t seen = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t entry = index + i * kContainerIndexEntryBytes;
+    if (bytes[entry + 16] != static_cast<uint8_t>(RecordType::kDataFrame) ||
+        seen++ != k) {
+      continue;
+    }
+    const size_t offset = GetLe(bytes, entry, 8);
+    const size_t len = GetLe(bytes, entry + 8, 4);
+    seq = static_cast<uint16_t>(GetLe(bytes, entry + 18, 2));
+    ForgeWidth(bytes, offset);
+    const uint32_t crc = Crc32(BytesView(bytes).subspan(offset, len));
+    PutLe32(bytes, offset - 4, crc);  // the record header's CRC field
+    PutLe32(bytes, entry + 12, crc);  // the index entry's
+  }
+  EXPECT_EQ(seen >= k + 1, true) << "no data record " << k;
+  PutLe32(bytes, footer + 12,
+          Crc32(BytesView(bytes).subspan(index,
+                                         count * kContainerIndexEntryBytes)));
+  EXPECT_TRUE(WriteFileBytes(path, bytes).ok());
+  return seq;
+}
+
+/// Archives SmallDump() through `sink` and appends its Bootstrap.
+void ArchiveSmallDump(ArchiveWriter& sink, int threads) {
+  core::ArchiveOptions options;
+  options.emblem = SmallOptions();
+  options.emblem.threads = threads;
+  auto summary = core::ArchiveDumpStreaming(SmallDump(), options, sink);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  ASSERT_TRUE(sink.AppendBootstrap(summary.value().bootstrap_text).ok());
+  ASSERT_TRUE(sink.Finish().ok());
+}
+
+Result<std::string> RestoreReel(const std::string& path, int threads,
+                                core::RestoreStats* stats = nullptr) {
+  ULE_ASSIGN_OR_RETURN(auto reel, OpenReel(path));
+  mocoder::Options options = reel->emblem_options();
+  options.threads = threads;
+  auto data = reel->OpenFrames(mocoder::StreamId::kData);
+  auto system = reel->OpenFrames(mocoder::StreamId::kSystem);
+  return core::RestoreNativeStreaming(*data, system.get(), options, stats);
+}
+
+void ExpectSameStats(const mocoder::DecodeStats& a,
+                     const mocoder::DecodeStats& b) {
+  EXPECT_EQ(a.emblems_total, b.emblems_total);
+  EXPECT_EQ(a.emblems_decoded, b.emblems_decoded);
+  EXPECT_EQ(a.emblems_recovered, b.emblems_recovered);
+  EXPECT_EQ(a.rs_errors_corrected, b.rs_errors_corrected);
+  EXPECT_EQ(a.steps, b.steps);
+}
+
+// Every case runs serially (threads 1) and with the reader handing packed
+// records to pool workers (threads 4).
+class PackedReelRestore : public ::testing::TestWithParam<int> {
+ protected:
+  /// A per-case path, so concurrent ctest processes never share a file.
+  static std::string TempPath(const std::string& suffix) {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->name()) + "_" + suffix;
+    for (char& c : name) {
+      if (c == '/') c = '_';
+    }
+    return testing::TempDir() + name;
+  }
+};
+
+TEST_P(PackedReelRestore, BitonalContainerMatchesTheRenderedFrames) {
+  // The same archive twice: its rendered frames held in memory (ready
+  // pixels) and a bitonal container (packed PBM records). Output and
+  // DecodeStats must not depend on who expands the pixels or where.
+  MemoryStore memory;
+  core::ArchiveOptions options;
+  options.emblem = SmallOptions();
+  ASSERT_TRUE(core::ArchiveDumpStreaming(SmallDump(), options, memory).ok());
+  auto memory_data = memory.OpenFrames(mocoder::StreamId::kData);
+  auto memory_system = memory.OpenFrames(mocoder::StreamId::kSystem);
+  mocoder::Options serial = SmallOptions();
+  serial.threads = 1;
+  core::RestoreStats expected;
+  auto reference = core::RestoreNativeStreaming(
+      *memory_data, memory_system.get(), serial, &expected);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference.value(), SmallDump());
+  ASSERT_GE(memory.frames(mocoder::StreamId::kData).size(), 5u);
+
+  const std::string path = TempPath("bitonal.ulec");
+  ContainerWriter::Options copt;
+  copt.bitonal = true;
+  auto writer = ContainerWriter::Create(path, SmallOptions(), copt);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ArchiveSmallDump(*writer.value(), GetParam());
+  core::RestoreStats stats;
+  auto restored = RestoreReel(path, GetParam(), &stats);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value(), reference.value());
+  ExpectSameStats(stats.data_stream, expected.data_stream);
+  ExpectSameStats(stats.system_stream, expected.system_stream);
+}
+
+TEST_P(PackedReelRestore, UndecodableContainerRecordNamesItsFrame) {
+  // Record 2's PBM header promises more pixels than it carries, under
+  // valid record and index CRCs. The reader's parse fails at pull 2, and
+  // that read error wins over the decodes in flight, at any thread count.
+  const std::string path = TempPath("forged.ulec");
+  ContainerWriter::Options copt;
+  copt.bitonal = true;
+  auto writer = ContainerWriter::Create(path, SmallOptions(), copt);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ArchiveSmallDump(*writer.value(), GetParam());
+  const uint16_t seq = ForgeDataRecordWidth(path, 2);
+
+  auto restored = RestoreReel(path, GetParam());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(restored.status().message().find(
+                "frame seq " + std::to_string(seq) + " (payload offset "),
+            std::string::npos)
+      << restored.status().ToString();
+  EXPECT_NE(restored.status().message().find("truncated PBM"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
+TEST_P(PackedReelRestore, UndecodableDirectoryFrameNamesItsFile) {
+  const std::string dir = TempPath("forged_dir");
+  DirectoryWriter::Options dopt;
+  dopt.bitonal = true;
+  auto writer = DirectoryWriter::Create(dir, SmallOptions(), dopt);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ArchiveSmallDump(*writer.value(), GetParam());
+  const std::string name = FrameFileName(mocoder::StreamId::kData, 2, true);
+  auto frame = ReadFileBytes(JoinPath(dir, name));
+  ASSERT_TRUE(frame.ok());
+  Bytes forged = frame.value();
+  ForgeWidth(forged, 0);
+  ASSERT_TRUE(WriteFileBytes(JoinPath(dir, name), forged).ok());
+
+  auto restored = RestoreReel(dir, GetParam());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(restored.status().message().find(name), std::string::npos)
+      << restored.status().ToString();
+  auto reader = DirectoryReader::Open(dir);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const Status verify = reader.value()->Verify();
+  EXPECT_EQ(verify.code(), StatusCode::kCorruption);
+  EXPECT_NE(verify.message().find(name), std::string::npos)
+      << verify.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PackedReelRestore, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+TEST(ContainerTest, ForgedFrameHeaderFailsVerifyAndScrub) {
+  // Verify and scrub only parse frame records; a record whose CRCs hold
+  // but whose image does not decode must still fail both.
+  const std::string path = testing::TempDir() + "forged_scrub.ulec";
+  ContainerWriter::Options copt;
+  copt.bitonal = true;
+  auto writer = ContainerWriter::Create(path, SmallOptions(), copt);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ArchiveSmallDump(*writer.value(), 1);
+  ASSERT_TRUE(ContainerReader::Open(path).value()->Verify().ok());
+  ForgeDataRecordWidth(path, 2);
+
+  auto reader = ContainerReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const Status verify = reader.value()->Verify();
+  EXPECT_EQ(verify.code(), StatusCode::kCorruption);
+  EXPECT_NE(verify.message().find("does not decode"), std::string::npos)
+      << verify.ToString();
+  auto health = ScrubArchive(path, /*repair=*/false);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_NE(health.value().state, ArchiveState::kHealthy);
 }
 
 TEST(GoldenArchiveTest, C1RestoresNatively) {

@@ -60,7 +60,7 @@ inline std::vector<media::Image> Drain(FrameSource& source) {
     auto next = source.Next();
     EXPECT_TRUE(next.ok()) << next.status().ToString();
     if (!next.ok() || !next.value().has_value()) break;
-    frames.push_back(std::move(*next.value()));
+    frames.push_back(next.value()->TakeImage());
   }
   return frames;
 }

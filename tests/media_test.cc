@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "media/image.h"
 #include "media/profiles.h"
@@ -121,6 +123,101 @@ TEST(ImageTest, RejectsGarbage) {
   EXPECT_FALSE(Image::FromPgm(ToBytes("not an image")).ok());
   EXPECT_FALSE(Image::FromPbm(ToBytes("P4")).ok());
   EXPECT_FALSE(Image::FromPgm(ToBytes("P5\n10 10\n255\n")).ok());  // truncated
+}
+
+// Pseudo-random pixels, so a stale pixel left behind cannot pass for a
+// fresh one by chance.
+Image Noise(int w, int h, uint32_t seed) {
+  Image img(w, h);
+  uint32_t x = seed;
+  for (uint8_t& px : img.mutable_pixels()) {
+    x = x * 1664525u + 1013904223u;
+    px = static_cast<uint8_t>(x >> 24);
+  }
+  return img;
+}
+
+// ExpandNetpbm reuses the caller's buffer: into one that held a larger
+// image (it shrinks) or one of the same size (it is overwritten in place,
+// with no fill first), the result must equal a fresh FromPbm/FromPgm.
+// 243 = 30 * 8 + 3 leaves a 3-pixel tail byte on every PBM row.
+TEST(ImageTest, ExpandIntoReusedBufferKeepsNoStalePixels) {
+  const Bytes pbm = Noise(243, 243, 1).ToPbm();
+  const Bytes pgm = Noise(243, 243, 2).ToPgm();
+  struct Case {
+    const Bytes* record;
+    NetpbmFormat format;
+  };
+  for (const Case& c : {Case{&pbm, NetpbmFormat::kPbm},
+                        Case{&pgm, NetpbmFormat::kPgm}}) {
+    const bool is_pbm = c.format == NetpbmFormat::kPbm;
+    auto fresh = is_pbm ? Image::FromPbm(*c.record) : Image::FromPgm(*c.record);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    auto layout = ParseNetpbm(*c.record, c.format);
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+
+    Image larger = Noise(300, 280, 3);
+    Image same(243, 243, 0x55);
+    const uint8_t* same_buffer = same.pixels().data();
+    for (Image* scratch : {&larger, &same}) {
+      ExpandNetpbm(*c.record, layout.value(), scratch);
+      EXPECT_EQ(scratch->width(), 243);
+      EXPECT_EQ(scratch->height(), 243);
+      EXPECT_EQ(scratch->pixels(), fresh.value().pixels())
+          << (is_pbm ? "PBM" : "PGM") << " into a "
+          << (scratch == &same ? "same-size" : "larger") << " buffer";
+    }
+    EXPECT_EQ(same.pixels().data(), same_buffer) << "buffer was reallocated";
+
+    // PackedFrame::Unpack is the same expansion into the same scratch.
+    auto packed = PackedFrame::Parse(*c.record, c.format);
+    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+    Image scratch(243, 243, 0x55);
+    EXPECT_EQ(&packed.value().Unpack(&scratch), &scratch);
+    EXPECT_EQ(scratch.pixels(), fresh.value().pixels());
+    EXPECT_EQ(packed.value().TakeImage().pixels(), fresh.value().pixels());
+  }
+}
+
+TEST(ImageTest, PackedFrameOfReadyPixelsNeedsNoScratch) {
+  const Image img = Noise(20, 10, 4);
+  PackedFrame frame(img);
+  Image scratch;
+  EXPECT_EQ(frame.Unpack(&scratch).pixels(), img.pixels());
+  EXPECT_TRUE(scratch.empty());
+  EXPECT_EQ(frame.TakeImage().pixels(), img.pixels());
+}
+
+// The parse that readers and Verify run alone rejects exactly what a full
+// decode rejects, with the same status.
+TEST(ImageTest, ParseFailsWhereDecodeFails) {
+  const Bytes pbm = Noise(21, 9, 5).ToPbm();
+  const Bytes pgm = Noise(21, 9, 6).ToPgm();
+  std::vector<std::pair<Bytes, NetpbmFormat>> inputs;
+  for (const auto& [record, format] :
+       {std::pair{pbm, NetpbmFormat::kPbm}, std::pair{pgm, NetpbmFormat::kPgm}}) {
+    for (size_t cut : {size_t{0}, size_t{1}, size_t{4}, record.size() - 1,
+                       record.size()}) {
+      inputs.emplace_back(Bytes(record.begin(), record.begin() + cut), format);
+    }
+    Bytes wide = record;
+    wide[3] = '9';  // width 21 -> 91: the pixel bytes no longer suffice
+    inputs.emplace_back(wide, format);
+    Bytes other_magic = record;
+    other_magic[1] = format == NetpbmFormat::kPbm ? '5' : '4';
+    inputs.emplace_back(other_magic, format);
+  }
+  inputs.emplace_back(ToBytes("P5\n2 2\n254\nabcd"), NetpbmFormat::kPgm);
+  inputs.emplace_back(ToBytes("P4\n0 2\nab"), NetpbmFormat::kPbm);
+  for (const auto& [record, format] : inputs) {
+    const Status parsed = ParseNetpbm(record, format).status();
+    const Status decoded = (format == NetpbmFormat::kPbm
+                                ? Image::FromPbm(record)
+                                : Image::FromPgm(record))
+                               .status();
+    EXPECT_EQ(parsed.code(), decoded.code()) << ToString(record);
+    EXPECT_EQ(parsed.message(), decoded.message()) << ToString(record);
+  }
 }
 
 // A header number past INT_MAX must be refused, not wrapped: read modulo

@@ -743,9 +743,9 @@ Status DiscardSink(EncodedEmblem&&, media::Image&&) { return Status::OK(); }
 // Pulls copies of `frames` in order, then reports the end of the reel.
 FramePull PullFrames(const std::vector<media::Image>& frames) {
   return [&frames, i = size_t{0}]() mutable
-         -> Result<std::optional<media::Image>> {
-    if (i == frames.size()) return std::optional<media::Image>();
-    return std::optional<media::Image>(frames[i++]);
+         -> Result<std::optional<media::PackedFrame>> {
+    if (i == frames.size()) return std::optional<media::PackedFrame>();
+    return std::optional<media::PackedFrame>(frames[i++]);
   };
 }
 
@@ -978,7 +978,7 @@ TEST_P(StreamDecoderContract, ReadErrorWaitsForInFlightDecodes) {
   FramePull frames = PullFrames(encoded_.frames);
   int pulled = 0;
   auto out = DecodeStream(
-      [&]() -> Result<std::optional<media::Image>> {
+      [&]() -> Result<std::optional<media::PackedFrame>> {
         if (pulled == 8) return Status::IoError("reel torn at frame 8");
         ++pulled;
         return frames();
@@ -1002,7 +1002,7 @@ TEST_P(StreamDecoderContract, ThrowingPullDoesNotHang) {
   int pulled = 0;
   try {
     (void)DecodeStream(
-        [&]() -> Result<std::optional<media::Image>> {
+        [&]() -> Result<std::optional<media::PackedFrame>> {
           if (pulled == 5) throw std::runtime_error("scanner jammed");
           ++pulled;
           return frames();
@@ -1047,6 +1047,43 @@ TEST_P(StreamDecoderContract, StatsStepsSumGridDecodeSteps) {
       false, &stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(stats.steps, expected);
+}
+
+TEST_P(StreamDecoderContract, PackedScansDecodeLikeReadyOnes) {
+  // The same scans as packed PBM records: whichever index decodes one
+  // expands it into that index's own raster — the reader too, when a slow
+  // decode keeps the channel full. Output and stats must not move.
+  const int side = opt_.data_side;
+  const GridDecodeFn slow = [side](BytesView grid) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return DecodeNative(grid, side);
+  };
+  DecodeStats ready_stats;
+  auto ready = DecodeStream(PullFrames(encoded_.frames), StreamId::kData,
+                            opt_, slow, false, &ready_stats);
+  ASSERT_TRUE(ready.ok()) << ready.status().ToString();
+
+  std::vector<Bytes> records;
+  for (const media::Image& frame : encoded_.frames) {
+    records.push_back(frame.ToPbm());
+  }
+  size_t i = 0;
+  DecodeStats packed_stats;
+  auto packed = DecodeStream(
+      [&]() -> Result<std::optional<media::PackedFrame>> {
+        if (i == records.size()) return std::optional<media::PackedFrame>();
+        ULE_ASSIGN_OR_RETURN(
+            media::PackedFrame frame,
+            media::PackedFrame::Parse(records[i++], media::NetpbmFormat::kPbm));
+        return std::optional<media::PackedFrame>(std::move(frame));
+      },
+      StreamId::kData, opt_, slow, false, &packed_stats);
+  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+  EXPECT_EQ(packed.value(), stream_);
+  EXPECT_EQ(packed.value(), ready.value());
+  EXPECT_EQ(packed_stats.emblems_total, ready_stats.emblems_total);
+  EXPECT_EQ(packed_stats.emblems_decoded, ready_stats.emblems_decoded);
+  EXPECT_EQ(packed_stats.rs_errors_corrected, ready_stats.rs_errors_corrected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, StreamDecoderContract,

@@ -284,7 +284,7 @@ TEST_F(ReelSetFaultTest, FlippedRecordByteSurfacesMidStreamWithContext) {
     auto next = source->Next();
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     ASSERT_TRUE(next.value().has_value());
-    EXPECT_EQ(next.value()->pixels(), data_.frames[i].pixels());
+    EXPECT_EQ(next.value()->TakeImage().pixels(), data_.frames[i].pixels());
   }
   auto bad = source->Next();
   ASSERT_FALSE(bad.ok());
@@ -322,7 +322,7 @@ TEST(ReelSetTest, SeekReadsInterleaveWithStreamingAcrossReels) {
     auto next = source->Next();
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     ASSERT_TRUE(next.value().has_value());
-    streamed.push_back(std::move(*next.value()));
+    streamed.push_back(next.value()->TakeImage());
   }
   ExpectSameFrames(streamed, data.frames);
   auto sys = seek.ReadFrame(mocoder::StreamId::kSystem, 0);
